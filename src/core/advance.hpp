@@ -15,7 +15,8 @@
 // V2E advance) into the output frontier. Any per-edge computation — label
 // updates, atomic relaxations, sigma accumulation — lives in the functor,
 // so no intermediate results ever hit memory between "traversal" and
-// "computation" steps.
+// "computation" steps. The multi-source advance (advance_ms.hpp) is one
+// such functor: it adapts a 64-lane mask functor onto AdvancePush.
 //
 // Three workload mappings implement the paper's load-balancing strategies;
 // see policy.hpp. All of them report edges visited and a modeled SIMT lane
@@ -74,8 +75,45 @@ constexpr OutId InvalidOf() {
   }
 }
 
+/// The chunk-local output scaffold shared by the chunked push paths and
+/// both pull advances: splits [0, n) into chunks of `grain` items (0 =
+/// default), runs `body(lo, hi, local)` on each — it returns the edges it
+/// visited and appends its output to `local`, which is null when `out`
+/// is — then gathers the chunk buffers into `out` in chunk order.
+/// Chunk-local buffers keep their capacity across calls via the arena.
+template <typename OutId, typename Body>
+eid_t ChunkedEmit(par::ThreadPool& pool, std::size_t n, std::size_t grain,
+                  std::vector<OutId>* out, par::Workspace& wsp,
+                  const Body& body) {
+  if (n == 0) return 0;
+  if (grain == 0) grain = par::DefaultGrain(n, pool.num_threads());
+  const std::size_t num_chunks = (n + grain - 1) / grain;
+  auto& locals =
+      wsp.Get<std::vector<std::vector<OutId>>>(par::ws::kAdvanceLocals);
+  if (out && locals.size() < num_chunks) locals.resize(num_chunks);
+  auto& counts = wsp.Get<std::vector<eid_t>>(par::ws::kAdvanceCounts);
+  counts.assign(num_chunks, 0);
+  par::ParallelForChunks(
+      pool, 0, n, grain,
+      [&](std::size_t lo, std::size_t hi, std::size_t chunk, unsigned) {
+        std::vector<OutId>* local = nullptr;
+        if (out) {
+          local = &locals[chunk];
+          local->clear();  // keep capacity, drop last iteration's data
+        }
+        counts[chunk] = body(lo, hi, local);
+      });
+  par::ConcatChunks(pool, locals, out ? num_chunks : 0, out, &wsp,
+                    par::ws::kAdvanceAppendOffsets);
+  eid_t edges = 0;
+  for (std::size_t c = 0; c < num_chunks; ++c) edges += counts[c];
+  return edges;
+}
+
 /// Serially expands items [lo, hi), appending passing destinations to
-/// `local` (when non-null). Returns edges visited.
+/// `local` (when non-null). Returns edges visited. A function rather than
+/// ChunkedEmit's body, so its arguments live in registers instead of
+/// being reloaded through the body's captures after every append.
 template <typename Functor, typename Problem, typename OutId>
 eid_t ExpandRange(const graph::Csr& g, std::span<const vid_t> items,
                   std::size_t lo, std::size_t hi, Problem& prob,
@@ -98,37 +136,17 @@ eid_t ExpandRange(const graph::Csr& g, std::span<const vid_t> items,
 
 /// Chunked expansion over an item list: the thread-mapped path and the
 /// small/medium TWC bins all reduce to this with different grains.
-/// Chunk-local buffers keep their capacity across calls via the arena.
 template <typename Functor, typename Problem, typename OutId>
 eid_t ExpandChunked(par::ThreadPool& pool, const graph::Csr& g,
                     std::span<const vid_t> items, std::size_t grain,
                     Problem& prob, std::vector<OutId>* out,
                     par::Workspace& wsp) {
-  const std::size_t n = items.size();
-  if (n == 0) return 0;
-  if (grain == 0) grain = par::DefaultGrain(n, pool.num_threads());
-  const std::size_t num_chunks = (n + grain - 1) / grain;
-  auto& locals =
-      wsp.Get<std::vector<std::vector<OutId>>>(par::ws::kAdvanceLocals);
-  if (out && locals.size() < num_chunks) locals.resize(num_chunks);
-  auto& counts = wsp.Get<std::vector<eid_t>>(par::ws::kAdvanceCounts);
-  counts.assign(num_chunks, 0);
-  par::ParallelForChunks(
-      pool, 0, n, grain,
-      [&](std::size_t lo, std::size_t hi, std::size_t chunk, unsigned) {
-        std::vector<OutId>* local = nullptr;
-        if (out) {
-          local = &locals[chunk];
-          local->clear();  // keep capacity, drop last iteration's data
-        }
-        counts[chunk] = ExpandRange<Functor, Problem, OutId>(
-            g, items, lo, hi, prob, local);
+  return ChunkedEmit(
+      pool, items.size(), grain, out, wsp,
+      [&](std::size_t lo, std::size_t hi, std::vector<OutId>* local) {
+        return ExpandRange<Functor, Problem, OutId>(g, items, lo, hi, prob,
+                                                    local);
       });
-  par::ConcatChunks(pool, locals, out ? num_chunks : 0, out, &wsp,
-                    par::ws::kAdvanceAppendOffsets);
-  eid_t edges = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) edges += counts[c];
-  return edges;
 }
 
 /// Equal-work expansion: scan degrees, chunk total edge work evenly,
@@ -300,22 +318,9 @@ AdvanceResult AdvancePull(par::ThreadPool& pool, const graph::Csr& rg,
   par::Workspace private_arena;
   par::Workspace& wsp = cfg.workspace ? *cfg.workspace : private_arena;
   const std::size_t out_base = output ? output->size() : 0;
-  const std::size_t grain =
-      cfg.grain ? cfg.grain : par::DefaultGrain(n, pool.num_threads());
-  const std::size_t num_chunks = (n + grain - 1) / grain;
-  auto& locals =
-      wsp.Get<std::vector<std::vector<vid_t>>>(par::ws::kAdvanceLocals);
-  if (output && locals.size() < num_chunks) locals.resize(num_chunks);
-  auto& counts = wsp.Get<std::vector<eid_t>>(par::ws::kAdvanceCounts);
-  counts.assign(num_chunks, 0);
-  par::ParallelForChunks(
-      pool, 0, n, grain,
-      [&](std::size_t lo, std::size_t hi, std::size_t chunk, unsigned) {
-        std::vector<vid_t>* local = nullptr;
-        if (output) {
-          local = &locals[chunk];
-          local->clear();
-        }
+  result.edges_visited = detail::ChunkedEmit(
+      pool, n, cfg.grain, output, wsp,
+      [&](std::size_t lo, std::size_t hi, std::vector<vid_t>* local) {
         eid_t edges = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const vid_t v = candidates[i];
@@ -330,13 +335,8 @@ AdvanceResult AdvancePull(par::ThreadPool& pool, const graph::Csr& rg,
             }
           }
         }
-        counts[chunk] = edges;
+        return edges;
       });
-  par::ConcatChunks(pool, locals, output ? num_chunks : 0, output, &wsp,
-                    par::ws::kAdvanceAppendOffsets);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    result.edges_visited += counts[c];
-  }
   // Pull scans candidate lists item-per-lane; model accordingly.
   if (cfg.model_efficiency) {
     result.lane_efficiency = LaneEfficiencyThreadMapped(

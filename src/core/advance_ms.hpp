@@ -19,19 +19,21 @@
 //                                   std::uint64_t lanes, Problem& p);
 //   };
 //
+// The lane mask is a different per-edge operation, not a different
+// traversal, so push is not a second operator: AdvancePushMs wraps the
+// lane functor in an edge adapter (detail::LaneMaskEdge) and runs the
+// scalar AdvancePush, whose load-balance strategies then serve the
+// scalar and the lane-mask payload alike. The adapter reads `cur` and
+// ORs into `next` during the same sweep, so `cur` must not alias `next`.
+//
 // Push comes in the same two flavors as scalar BFS: the *fused-claim*
 // variant (kEmitOnce = true) dedups the output frontier exactly via
 // LaneMaskFrontier::OrBits' first-touch signal, while the *filtered*
 // variant (kEmitOnce = false) emits every touched vertex and leaves the
 // dedup to FilterMsUnique — the multi-source analog of the idempotent
 // advance + visited-claim filter pipeline.
-//
-// All scratch comes out of the AdvanceConfig's workspace (same slots as
-// the scalar operators — the expansion helpers are phase-disjoint).
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,11 +43,7 @@
 #include "core/policy.hpp"
 #include "graph/csr.hpp"
 #include "parallel/bitmap.hpp"
-#include "parallel/compact.hpp"
-#include "parallel/for_each.hpp"
 #include "parallel/lane_mask.hpp"
-#include "parallel/scan.hpp"
-#include "parallel/sorted_search.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/types.hpp"
 
@@ -53,132 +51,31 @@ namespace gunrock::core {
 
 namespace detail {
 
-/// Serially expands frontier items [lo, hi), ORing propagated lane masks
-/// into `next` and appending output vertices to `local` (first-touch only
-/// when kEmitOnce). Returns edges visited.
+template <typename Problem>
+struct LaneMaskProblem {
+  const par::LaneMaskFrontier& cur;
+  par::LaneMaskFrontier& next;
+  Problem& prob;
+};
+
+/// Scalar edge functor over a lane-mask functor: CondEdge propagates the
+/// lanes the lane functor passes into `next` and reports whether the
+/// destination should be emitted — on its first touch this level under
+/// kEmitOnce, on every propagating edge otherwise.
 template <typename Functor, typename Problem, bool kEmitOnce>
-eid_t ExpandRangeMs(const graph::Csr& g, std::span<const vid_t> items,
-                    const par::LaneMaskFrontier& cur,
-                    par::LaneMaskFrontier& next, std::size_t lo,
-                    std::size_t hi, Problem& prob,
-                    std::vector<vid_t>* local) {
-  eid_t edges = 0;
-  for (std::size_t i = lo; i < hi; ++i) {
-    const vid_t u = items[i];
-    const std::uint64_t lanes = cur.Load(static_cast<std::size_t>(u));
-    const eid_t rb = g.row_begin(u), re = g.row_end(u);
-    edges += re - rb;
-    if (lanes == 0) continue;  // all of u's lanes were dropped mid-wave
-    for (eid_t e = rb; e < re; ++e) {
-      const vid_t v = g.edge_dest(e);
-      const std::uint64_t prop = Functor::CondEdge(u, v, e, lanes, prob);
-      if (prop == 0) continue;
-      const std::uint64_t prev =
-          next.OrBits(static_cast<std::size_t>(v), prop);
-      if (local && (!kEmitOnce || prev == 0)) local->push_back(v);
-    }
+struct LaneMaskEdge {
+  static bool CondEdge(vid_t u, vid_t v, eid_t e,
+                       LaneMaskProblem<Problem>& p) {
+    const std::uint64_t lanes = p.cur.Load(static_cast<std::size_t>(u));
+    if (lanes == 0) return false;  // all of u's lanes were dropped mid-wave
+    const std::uint64_t prop = Functor::CondEdge(u, v, e, lanes, p.prob);
+    if (prop == 0) return false;
+    const std::uint64_t prev =
+        p.next.OrBits(static_cast<std::size_t>(v), prop);
+    return !kEmitOnce || prev == 0;
   }
-  return edges;
-}
-
-/// Chunked multi-source expansion (thread-mapped path and the small /
-/// medium TWC bins).
-template <typename Functor, typename Problem, bool kEmitOnce>
-eid_t ExpandChunkedMs(par::ThreadPool& pool, const graph::Csr& g,
-                      std::span<const vid_t> items,
-                      const par::LaneMaskFrontier& cur,
-                      par::LaneMaskFrontier& next, std::size_t grain,
-                      Problem& prob, std::vector<vid_t>* out,
-                      par::Workspace& wsp) {
-  const std::size_t n = items.size();
-  if (n == 0) return 0;
-  if (grain == 0) grain = par::DefaultGrain(n, pool.num_threads());
-  const std::size_t num_chunks = (n + grain - 1) / grain;
-  auto& locals =
-      wsp.Get<std::vector<std::vector<vid_t>>>(par::ws::kAdvanceLocals);
-  if (out && locals.size() < num_chunks) locals.resize(num_chunks);
-  auto& counts = wsp.Get<std::vector<eid_t>>(par::ws::kAdvanceCounts);
-  counts.assign(num_chunks, 0);
-  par::ParallelForChunks(
-      pool, 0, n, grain,
-      [&](std::size_t lo, std::size_t hi, std::size_t chunk, unsigned) {
-        std::vector<vid_t>* local = nullptr;
-        if (out) {
-          local = &locals[chunk];
-          local->clear();
-        }
-        counts[chunk] = ExpandRangeMs<Functor, Problem, kEmitOnce>(
-            g, items, cur, next, lo, hi, prob, local);
-      });
-  par::ConcatChunks(pool, locals, out ? num_chunks : 0, out, &wsp,
-                    par::ws::kAdvanceAppendOffsets);
-  eid_t edges = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) edges += counts[c];
-  return edges;
-}
-
-/// Equal-work multi-source expansion: scan degrees, split total edge work
-/// evenly, scatter-then-compact the output (paper Figure 5 applied to the
-/// union frontier).
-template <typename Functor, typename Problem, bool kEmitOnce>
-eid_t ExpandEqualWorkMs(par::ThreadPool& pool, const graph::Csr& g,
-                        std::span<const vid_t> items,
-                        const par::LaneMaskFrontier& cur,
-                        par::LaneMaskFrontier& next, Problem& prob,
-                        std::vector<vid_t>* out, par::Workspace& wsp) {
-  const std::size_t n = items.size();
-  if (n == 0) return 0;
-  auto& offsets = wsp.Get<std::vector<eid_t>>(par::ws::kAdvanceOffsets);
-  offsets.resize(n + 1);
-  const eid_t total = par::TransformExclusiveScan<eid_t>(
-      pool, n, std::span<eid_t>(offsets.data(), n), eid_t{0},
-      [&](std::size_t i) { return g.degree(items[i]); }, &wsp);
-  offsets[n] = total;
-  if (total == 0) return 0;
-
-  auto& raw = wsp.Get<std::vector<vid_t>>(par::ws::kAdvanceRaw);
-  raw.resize(out ? static_cast<std::size_t>(total) : 0);
-  const std::size_t grain = std::max<std::size_t>(
-      512, par::DefaultGrain(static_cast<std::size_t>(total),
-                             pool.num_threads()));
-  par::ParallelForChunks(
-      pool, 0, static_cast<std::size_t>(total), grain,
-      [&](std::size_t lo, std::size_t hi, std::size_t, unsigned) {
-        std::size_t s = par::FindOwner(
-            std::span<const eid_t>(offsets.data(), n + 1),
-            static_cast<eid_t>(lo));
-        eid_t seg_end = offsets[s + 1];
-        vid_t u = items[s];
-        std::uint64_t lanes = cur.Load(static_cast<std::size_t>(u));
-        for (std::size_t p = lo; p < hi; ++p) {
-          while (static_cast<eid_t>(p) >= seg_end) {
-            ++s;
-            seg_end = offsets[s + 1];
-            u = items[s];
-            lanes = cur.Load(static_cast<std::size_t>(u));
-          }
-          const eid_t e = g.row_begin(u) + (static_cast<eid_t>(p) -
-                                            offsets[s]);
-          const vid_t v = g.edge_dest(e);
-          const std::uint64_t prop =
-              lanes ? Functor::CondEdge(u, v, e, lanes, prob) : 0;
-          bool emit = false;
-          if (prop != 0) {
-            const std::uint64_t prev =
-                next.OrBits(static_cast<std::size_t>(v), prop);
-            emit = !kEmitOnce || prev == 0;
-          }
-          if (out) raw[p] = emit ? v : kInvalidVid;
-        }
-      });
-  if (out) {
-    par::AppendIf(
-        pool,
-        std::span<const vid_t>(raw.data(), static_cast<std::size_t>(total)),
-        *out, [](vid_t x) { return x != kInvalidVid; }, &wsp);
-  }
-  return total;
-}
+  static void ApplyEdge(vid_t, vid_t, eid_t, LaneMaskProblem<Problem>&) {}
+};
 
 }  // namespace detail
 
@@ -194,62 +91,9 @@ AdvanceResult AdvancePushMs(par::ThreadPool& pool, const graph::Csr& g,
                             par::LaneMaskFrontier& next,
                             std::vector<vid_t>* output, Problem& prob,
                             const AdvanceConfig& cfg = {}) {
-  AdvanceResult result;
-  const std::size_t n = input.size();
-  if (n == 0) return result;
-  par::Workspace private_arena;
-  par::Workspace& wsp = cfg.workspace ? *cfg.workspace : private_arena;
-  const std::size_t out_base = output ? output->size() : 0;
-
-  switch (ResolveLoadBalance(cfg)) {
-    case LoadBalance::kThreadMapped: {
-      result.edges_visited =
-          detail::ExpandChunkedMs<Functor, Problem, kEmitOnce>(
-              pool, g, input, cur, next, cfg.grain, prob, output, wsp);
-      break;
-    }
-    case LoadBalance::kTwc: {
-      auto& small = wsp.Get<std::vector<vid_t>>(par::ws::kTwcSmall);
-      auto& medium = wsp.Get<std::vector<vid_t>>(par::ws::kTwcMedium);
-      auto& large = wsp.Get<std::vector<vid_t>>(par::ws::kTwcLarge);
-      small.resize(n);
-      medium.resize(n);
-      large.resize(n);
-      const std::array<std::size_t, 3> sizes = par::GenerateThreeWay<vid_t>(
-          pool, n,
-          {std::span<vid_t>(small), std::span<vid_t>(medium),
-           std::span<vid_t>(large)},
-          [&](std::size_t i) {
-            const eid_t d = g.degree(input[i]);
-            if (d <= kTwcWarpThreshold) return 0;
-            return d <= kTwcCtaThreshold ? 1 : 2;
-          },
-          [&](std::size_t i) { return input[i]; }, &wsp);
-      result.edges_visited +=
-          detail::ExpandChunkedMs<Functor, Problem, kEmitOnce>(
-              pool, g, std::span<const vid_t>(small.data(), sizes[0]), cur,
-              next, std::max<std::size_t>(cfg.grain, 128), prob, output,
-              wsp);
-      result.edges_visited +=
-          detail::ExpandChunkedMs<Functor, Problem, kEmitOnce>(
-              pool, g, std::span<const vid_t>(medium.data(), sizes[1]),
-              cur, next, 16, prob, output, wsp);
-      result.edges_visited +=
-          detail::ExpandEqualWorkMs<Functor, Problem, kEmitOnce>(
-              pool, g, std::span<const vid_t>(large.data(), sizes[2]), cur,
-              next, prob, output, wsp);
-      break;
-    }
-    case LoadBalance::kEqualWork:
-    case LoadBalance::kAuto: {  // kAuto already resolved; silences -Wswitch
-      result.edges_visited =
-          detail::ExpandEqualWorkMs<Functor, Problem, kEmitOnce>(
-              pool, g, input, cur, next, prob, output, wsp);
-      break;
-    }
-  }
-  if (output) result.output_size = output->size() - out_base;
-  return result;
+  detail::LaneMaskProblem<Problem> lane_prob{cur, next, prob};
+  return AdvancePush<detail::LaneMaskEdge<Functor, Problem, kEmitOnce>>(
+      pool, g, input, output, lane_prob, cfg);
 }
 
 /// Multi-source pull advance: for every candidate vertex (one with lanes
@@ -277,22 +121,9 @@ AdvanceResult AdvancePullMs(par::ThreadPool& pool, const graph::Csr& rg,
   par::Workspace private_arena;
   par::Workspace& wsp = cfg.workspace ? *cfg.workspace : private_arena;
   const std::size_t out_base = output ? output->size() : 0;
-  const std::size_t grain =
-      cfg.grain ? cfg.grain : par::DefaultGrain(n, pool.num_threads());
-  const std::size_t num_chunks = (n + grain - 1) / grain;
-  auto& locals =
-      wsp.Get<std::vector<std::vector<vid_t>>>(par::ws::kAdvanceLocals);
-  if (output && locals.size() < num_chunks) locals.resize(num_chunks);
-  auto& counts = wsp.Get<std::vector<eid_t>>(par::ws::kAdvanceCounts);
-  counts.assign(num_chunks, 0);
-  par::ParallelForChunks(
-      pool, 0, n, grain,
-      [&](std::size_t lo, std::size_t hi, std::size_t chunk, unsigned) {
-        std::vector<vid_t>* local = nullptr;
-        if (output) {
-          local = &locals[chunk];
-          local->clear();
-        }
+  result.edges_visited = detail::ChunkedEmit(
+      pool, n, cfg.grain, output, wsp,
+      [&](std::size_t lo, std::size_t hi, std::vector<vid_t>* local) {
         eid_t edges = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const vid_t v = candidates[i];
@@ -310,13 +141,8 @@ AdvanceResult AdvancePullMs(par::ThreadPool& pool, const graph::Csr& rg,
             if (local) local->push_back(v);
           }
         }
-        counts[chunk] = edges;
+        return edges;
       });
-  par::ConcatChunks(pool, locals, output ? num_chunks : 0, output, &wsp,
-                    par::ws::kAdvanceAppendOffsets);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    result.edges_visited += counts[c];
-  }
   if (output) result.output_size = output->size() - out_base;
   return result;
 }

@@ -8,7 +8,6 @@
 #include "core/compute.hpp"
 #include "engine/query.hpp"
 #include "engine/query_engine.hpp"  // QueryEngineOptions' default budget
-#include "graph/stats.hpp"
 #include "util/error.hpp"
 
 namespace gunrock::engine {
@@ -98,9 +97,7 @@ MatrixResult RunMatrix(const graph::Csr& g, const MatrixQuery& q,
   }
   // Resolve the hint once so per-wave kAuto resolution (and a zero
   // q.wave) never pays the O(|V|) reduction more than once.
-  const bool scale_free = ctl.scale_free_hint >= 0
-                              ? ctl.scale_free_hint > 0
-                              : graph::ComputeScaleFreeHint(g, opts.Pool());
+  const bool scale_free = ctl.ScaleFree(g, opts.Pool());
   RunControl inner = ctl;
   inner.scale_free_hint = scale_free ? 1 : 0;
   const std::uint32_t wave =

@@ -3,7 +3,6 @@
 #include "core/advance.hpp"
 #include "core/compute.hpp"
 #include "core/frontier.hpp"
-#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -128,9 +127,7 @@ BcResult BcMultiSource(const graph::Csr& g, std::span<const vid_t> sources,
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   BcResult result;
   result.bc.assign(n, 0.0);
-  const bool scale_free = ctl.scale_free_hint >= 0
-                              ? ctl.scale_free_hint > 0
-                              : graph::ComputeScaleFreeHint(g, pool);
+  const bool scale_free = ctl.ScaleFree(g, pool);
   // Workspace and the dependency accumulator persist across sources (and,
   // with an engine lease, across queries), so a multi-source sweep
   // allocates only its per-level frontiers.

@@ -5,7 +5,6 @@
 #include "core/direction.hpp"
 #include "core/filter.hpp"
 #include "core/frontier.hpp"
-#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/bitmap.hpp"
 #include "parallel/compact.hpp"
@@ -114,9 +113,7 @@ BfsResult Bfs(const graph::Csr& g, vid_t source, const BfsOptions& opts,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.scale_free_hint >= 0
-                                ? ctl.scale_free_hint > 0
-                                : graph::ComputeScaleFreeHint(g, pool);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
   core::FilterConfig filter_cfg;
   filter_cfg.history_hash = true;

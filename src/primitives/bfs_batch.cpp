@@ -8,7 +8,6 @@
 #include "core/advance_ms.hpp"
 #include "core/direction.hpp"
 #include "core/frontier.hpp"
-#include "graph/stats.hpp"
 #include "parallel/bitmap.hpp"
 #include "parallel/compact.hpp"
 #include "parallel/for_each.hpp"
@@ -119,9 +118,7 @@ BfsBatchResult BfsBatch(const graph::Csr& g, std::span<const vid_t> sources,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.scale_free_hint >= 0
-                                ? ctl.scale_free_hint > 0
-                                : graph::ComputeScaleFreeHint(g, pool);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
   adv_cfg.model_efficiency = false;
 

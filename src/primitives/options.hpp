@@ -8,6 +8,8 @@
 #include "core/cancel.hpp"
 #include "core/policy.hpp"
 #include "core/workspace.hpp"
+#include "graph/csr.hpp"
+#include "graph/stats.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace gunrock {
@@ -44,6 +46,13 @@ struct RunControl {
   /// The engine computes it once per registered graph so short queries
   /// don't pay the pass.
   int scale_free_hint = -1;
+
+  /// The scale-free hint for `g`: the precomputed one when known,
+  /// otherwise graph::ComputeScaleFreeHint.
+  bool ScaleFree(const graph::Csr& g, par::ThreadPool& pool) const {
+    return scale_free_hint >= 0 ? scale_free_hint > 0
+                                : graph::ComputeScaleFreeHint(g, pool);
+  }
 
   /// Iteration-boundary cancellation/deadline poll (~two relaxed loads).
   void Checkpoint() const {

@@ -8,7 +8,6 @@
 #include "core/frontier.hpp"
 #include "core/gather.hpp"
 #include "core/spmv.hpp"
-#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/reduce.hpp"
 #include "util/error.hpp"
@@ -100,9 +99,7 @@ PagerankResult Pagerank(const graph::Csr& g, const PagerankOptions& opts,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.scale_free_hint >= 0
-                                ? ctl.scale_free_hint > 0
-                                : graph::ComputeScaleFreeHint(g, pool);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
   core::FilterConfig filter_cfg;
   filter_cfg.workspace = &ws;

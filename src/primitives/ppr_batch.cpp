@@ -7,7 +7,6 @@
 #include "core/advance.hpp"
 #include "core/compute.hpp"
 #include "core/spmv.hpp"
-#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/lane_mask.hpp"
 #include "parallel/reduce.hpp"
@@ -135,9 +134,7 @@ PprBatchResult PprBatch(const graph::Csr& g, std::span<const vid_t> seeds,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.scale_free_hint >= 0
-                                ? ctl.scale_free_hint > 0
-                                : graph::ComputeScaleFreeHint(g, pool);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
   adv_cfg.model_efficiency = false;
 

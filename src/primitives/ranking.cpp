@@ -6,7 +6,6 @@
 #include "core/compute.hpp"
 #include "core/spmv.hpp"
 #include "core/workspace.hpp"
-#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/reduce.hpp"
 #include "util/error.hpp"
@@ -93,13 +92,6 @@ bool UseSpmv(core::SpmvBackend backend, bool scale_free) {
          (backend == core::SpmvBackend::kAuto && scale_free);
 }
 
-int ScaleFreeHint(const graph::Csr& g, par::ThreadPool& pool,
-                  const RunControl& ctl) {
-  return ctl.scale_free_hint >= 0
-             ? ctl.scale_free_hint > 0
-             : graph::ComputeScaleFreeHint(g, pool);
-}
-
 }  // namespace
 
 HitsResult Hits(const graph::Csr& g, const graph::Csr& rg,
@@ -122,7 +114,7 @@ HitsResult Hits(const graph::Csr& g, const graph::Csr& rg,
   core::Workspace& ws = ctl.workspace ? *ctl.workspace : private_ws;
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ScaleFreeHint(g, pool, ctl);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
   const bool use_spmv = UseSpmv(opts.backend, adv_cfg.scale_free_hint);
   const auto all = AllVertices(pool, ws, n);
@@ -221,7 +213,7 @@ SalsaResult Salsa(const graph::Csr& g, const graph::Csr& rg,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ScaleFreeHint(g, pool, ctl);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
   const auto all = AllVertices(pool, ws, n);
 
@@ -346,7 +338,7 @@ PprResult PersonalizedPagerank(const graph::Csr& g,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ScaleFreeHint(g, pool, ctl);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
   const auto all = AllVertices(pool, ws, n);
 

@@ -8,7 +8,6 @@
 #include "core/filter.hpp"
 #include "core/frontier.hpp"
 #include "core/priority_queue.hpp"
-#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/reduce.hpp"
 #include "util/error.hpp"
@@ -94,9 +93,7 @@ SsspResult Sssp(const graph::Csr& g, vid_t source, const SsspOptions& opts,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.scale_free_hint >= 0
-                                ? ctl.scale_free_hint > 0
-                                : graph::ComputeScaleFreeHint(g, pool);
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
   adv_cfg.model_efficiency = opts.model_lane_efficiency;
   adv_cfg.workspace = &ws;
   core::FilterConfig filter_cfg;

@@ -10,7 +10,6 @@
 #include "core/compute.hpp"
 #include "core/frontier.hpp"
 #include "core/spmv.hpp"
-#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/compact.hpp"
 #include "parallel/for_each.hpp"
@@ -424,9 +423,7 @@ SsspBatchResult SsspBatch(const graph::Csr& g,
              "SsspBatch source out of range");
   }
 
-  const bool scale_free = ctl.scale_free_hint >= 0
-                              ? ctl.scale_free_hint > 0
-                              : graph::ComputeScaleFreeHint(g, opts.Pool());
+  const bool scale_free = ctl.ScaleFree(g, opts.Pool());
   MatrixBackend backend = opts.backend;
   if (backend == MatrixBackend::kAuto) {
     // Bench-derived default (bench/matrix_query, DESIGN.md §11): the

@@ -1,12 +1,16 @@
 // Core operator tests: advance (all strategies, push and pull, V2V and
-// V2E) against a reference expansion, filter semantics, near/far split,
-// the direction controller's state machine, and the SIMT lane model.
+// V2E, scalar and lane-mask) against a reference expansion, filter
+// semantics, near/far split, the direction controller's state machine,
+// and the SIMT lane model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 
 #include "core/advance.hpp"
+#include "core/advance_ms.hpp"
 #include "core/direction.hpp"
 #include "parallel/atomics.hpp"
 #include "core/filter.hpp"
@@ -153,6 +157,72 @@ TEST_P(AdvanceStrategyTest, EmptyAndZeroDegreeFrontiers) {
       Pool(), g, std::vector<vid_t>{4, 5, 6}, &out, prob, cfg);
   EXPECT_EQ(r1.edges_visited, 0);
   EXPECT_TRUE(out.empty());
+}
+
+/// Lane functor: every lane propagates except the destination's own
+/// lane (v % 64), so edges between same-lane vertices propagate nothing.
+struct AllButOwnLaneFunctor {
+  struct P {};
+  static std::uint64_t CondEdge(vid_t, vid_t v, eid_t, std::uint64_t lanes,
+                                P&) {
+    return lanes & ~(std::uint64_t{1} << (v % 64));
+  }
+};
+
+template <bool kEmitOnce>
+void CheckLaneMaskPush(LoadBalance lb) {
+  SCOPED_TRACE(kEmitOnce ? "kEmitOnce" : "emit per edge");
+  graph::RmatParams p;
+  p.scale = 11;
+  p.edge_factor = 8;
+  const auto g = Undirected(GenerateRmat(p, Pool()));
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  std::vector<vid_t> frontier;
+  for (vid_t v = 0; v < g.num_vertices(); v += 3) frontier.push_back(v);
+  par::LaneMaskFrontier cur, next;
+  cur.Resize(n);
+  next.Resize(n);
+  for (const vid_t v : frontier) {
+    cur.OrBits(static_cast<std::size_t>(v), std::uint64_t{1} << (v % 64));
+  }
+
+  AdvanceConfig cfg;
+  cfg.lb = lb;
+  AllButOwnLaneFunctor::P prob;
+  std::vector<vid_t> out;
+  const auto res = AdvancePushMs<AllButOwnLaneFunctor,
+                                 AllButOwnLaneFunctor::P, kEmitOnce>(
+      Pool(), g, frontier, cur, next, &out, prob, cfg);
+
+  std::vector<std::uint64_t> want_mask(n, 0);
+  std::map<vid_t, std::size_t> want_emits;  // propagating edges per vertex
+  eid_t want_edges = 0;
+  for (const vid_t u : frontier) {
+    want_edges += g.degree(u);
+    for (const vid_t v : g.neighbors(u)) {
+      const std::uint64_t prop = AllButOwnLaneFunctor::CondEdge(
+          u, v, 0, std::uint64_t{1} << (u % 64), prob);
+      if (prop == 0) continue;
+      want_mask[static_cast<std::size_t>(v)] |= prop;
+      ++want_emits[v];
+    }
+  }
+  if (kEmitOnce) {
+    for (auto& [v, count] : want_emits) count = 1;
+  }
+  EXPECT_EQ(res.edges_visited, want_edges);
+  EXPECT_EQ(res.output_size, out.size());
+  for (std::size_t v = 0; v < n; ++v) {
+    ASSERT_EQ(next.Load(v), want_mask[v]) << "vertex " << v;
+  }
+  std::map<vid_t, std::size_t> got_emits;
+  for (const vid_t v : out) ++got_emits[v];
+  EXPECT_EQ(got_emits, want_emits);
+}
+
+TEST_P(AdvanceStrategyTest, LaneMaskPushMatchesReference) {
+  CheckLaneMaskPush<true>(GetParam());
+  CheckLaneMaskPush<false>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, AdvanceStrategyTest,
