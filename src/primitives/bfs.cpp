@@ -1,5 +1,7 @@
 #include "primitives/bfs.hpp"
 
+#include <atomic>
+
 #include "core/advance.hpp"
 #include "core/compute.hpp"
 #include "core/direction.hpp"
@@ -21,19 +23,43 @@ namespace {
 struct BfsProblem {
   std::int32_t* depth = nullptr;
   vid_t* pred = nullptr;          // nullptr when preds are not requested
+  bool one_lane = false;          // offers cannot race: no CAS needed
   par::EpochBitmap* visited = nullptr;  // idempotent-mode claim set
   std::int32_t iteration = 0;     // depth to assign this iteration
 };
+
+/// The BFS-tree parent of a reached vertex is its smallest-id in-neighbour
+/// one level up, so the tree is the same for every schedule and thread
+/// count. In a push iteration every frontier source adjacent to a vertex
+/// discovered in that iteration offers itself and the smallest id wins
+/// (kInvalidVid counts as larger than any id). Pull gets the same parent
+/// by stopping at the first frontier vertex of a sorted in-edge row.
+/// `claimed`: this edge discovered `d`. On one lane nothing offers before
+/// the claim, so the claim stores without reading the (cold) slot.
+void OfferParent(BfsProblem& p, vid_t s, vid_t d, bool claimed) {
+  if (p.one_lane) {
+    vid_t& parent = p.pred[d];
+    if (claimed || s < parent) parent = s;
+    return;
+  }
+  std::atomic_ref<vid_t> ref(p.pred[d]);
+  vid_t old = ref.load(std::memory_order_relaxed);
+  while ((old == kInvalidVid || s < old) &&
+         !ref.compare_exchange_weak(old, s, std::memory_order_relaxed)) {
+  }
+}
 
 /// Non-idempotent advance: atomic CAS on the depth label claims each
 /// vertex exactly once, so the output frontier is duplicate-free.
 struct BfsAtomicFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
-    if (par::AtomicCas(&p.depth[d], std::int32_t{-1}, p.iteration)) {
-      if (p.pred) p.pred[d] = s;
-      return true;
+    const bool claimed =
+        par::AtomicCas(&p.depth[d], std::int32_t{-1}, p.iteration);
+    if (p.pred &&
+        (claimed || par::AtomicLoad(&p.depth[d]) == p.iteration)) {
+      OfferParent(p, s, d, claimed);
     }
-    return false;
+    return claimed;
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, BfsProblem&) {}
 };
@@ -42,9 +68,13 @@ struct BfsAtomicFunctor {
 /// every writer stores the same depth. Duplicates may be emitted.
 struct BfsIdempotentFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
-    if (par::AtomicLoad(&p.depth[d]) != -1) return false;
+    const std::int32_t seen = par::AtomicLoad(&p.depth[d]);
+    if (seen != -1) {
+      if (p.pred && seen == p.iteration) OfferParent(p, s, d, false);
+      return false;
+    }
     par::AtomicStore(&p.depth[d], p.iteration);
-    if (p.pred) par::AtomicStore(&p.pred[d], s);
+    if (p.pred) OfferParent(p, s, d, true);
     return true;
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, BfsProblem&) {}
@@ -61,7 +91,9 @@ struct BfsFilterFunctor {
 };
 
 /// Pull advance: the operator already verified the parent is in the
-/// current frontier; the candidate is unvisited by construction.
+/// current frontier; the candidate is unvisited by construction. The
+/// operator stops at the first frontier vertex of the in-edge row, the
+/// smallest id on the sorted rows that BuildCsr emits.
 struct BfsPullFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
     p.depth[d] = p.iteration;
@@ -109,6 +141,7 @@ BfsResult Bfs(const graph::Csr& g, vid_t source, const BfsOptions& opts,
   BfsProblem prob;
   prob.depth = result.depth.data();
   prob.pred = opts.compute_preds ? result.pred.data() : nullptr;
+  prob.one_lane = pool.num_threads() == 1;
   prob.visited = &visited;
 
   core::AdvanceConfig adv_cfg;

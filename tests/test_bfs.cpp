@@ -73,6 +73,37 @@ TEST_P(BfsParamTest, PredecessorsFormValidBfsTree) {
   test::ExpectValidBfsTree(c.graph, c.source, got);
 }
 
+// The parent of every reached vertex is its smallest-id in-neighbour one
+// level up, whatever the schedule. One lane takes the non-atomic path; an
+// oversubscribed 4-lane pool makes claims race even on a 1-core runner.
+TEST_P(BfsParamTest, PredecessorIsSmallestIdParent) {
+  static par::ThreadPool one_lane(1);
+  static par::ThreadPool four_lanes(4);
+  const auto& [case_idx, cfg] = GetParam();
+  const auto& c = Cases()[case_idx];
+  for (par::ThreadPool* pool : {&one_lane, &four_lanes}) {
+    BfsOptions opts;
+    opts.pool = pool;
+    opts.load_balance = cfg.lb;
+    opts.idempotent = cfg.idempotent;
+    opts.direction = cfg.direction;
+    const auto got = Bfs(c.graph, c.source, opts);
+
+    std::vector<vid_t> want(got.depth.size(), kInvalidVid);
+    for (vid_t u = 0; u < c.graph.num_vertices(); ++u) {
+      if (got.depth[u] < 0) continue;
+      for (eid_t e = c.graph.row_begin(u); e < c.graph.row_end(u); ++e) {
+        const vid_t v = c.graph.edge_dest(e);
+        // Rows are visited in id order, so the first hit is the smallest.
+        if (got.depth[v] == got.depth[u] + 1 && want[v] == kInvalidVid) {
+          want[v] = u;
+        }
+      }
+    }
+    EXPECT_EQ(got.pred, want) << pool->num_threads() << " lanes";
+  }
+}
+
 std::vector<std::tuple<std::size_t, Config>> AllParams() {
   const Config configs[] = {
       {core::LoadBalance::kThreadMapped, false, core::Direction::kPush},
