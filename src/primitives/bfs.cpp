@@ -23,7 +23,6 @@ namespace {
 struct BfsProblem {
   std::int32_t* depth = nullptr;
   vid_t* pred = nullptr;          // nullptr when preds are not requested
-  bool one_lane = false;          // offers cannot race: no CAS needed
   par::EpochBitmap* visited = nullptr;  // idempotent-mode claim set
   std::int32_t iteration = 0;     // depth to assign this iteration
 };
@@ -34,14 +33,7 @@ struct BfsProblem {
 /// discovered in that iteration offers itself and the smallest id wins
 /// (kInvalidVid counts as larger than any id). Pull gets the same parent
 /// by stopping at the first frontier vertex of a sorted in-edge row.
-/// `claimed`: this edge discovered `d`. On one lane nothing offers before
-/// the claim, so the claim stores without reading the (cold) slot.
-void OfferParent(BfsProblem& p, vid_t s, vid_t d, bool claimed) {
-  if (p.one_lane) {
-    vid_t& parent = p.pred[d];
-    if (claimed || s < parent) parent = s;
-    return;
-  }
+void OfferParent(BfsProblem& p, vid_t s, vid_t d) {
   std::atomic_ref<vid_t> ref(p.pred[d]);
   vid_t old = ref.load(std::memory_order_relaxed);
   while ((old == kInvalidVid || s < old) &&
@@ -53,12 +45,12 @@ void OfferParent(BfsProblem& p, vid_t s, vid_t d, bool claimed) {
 /// vertex exactly once, so the output frontier is duplicate-free.
 struct BfsAtomicFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
-    const bool claimed =
-        par::AtomicCas(&p.depth[d], std::int32_t{-1}, p.iteration);
-    if (p.pred &&
-        (claimed || par::AtomicLoad(&p.depth[d]) == p.iteration)) {
-      OfferParent(p, s, d, claimed);
-    }
+    // A failed CAS leaves the current depth in `seen`.
+    std::int32_t seen = -1;
+    const bool claimed = std::atomic_ref<std::int32_t>(p.depth[d])
+                             .compare_exchange_strong(
+                                 seen, p.iteration, std::memory_order_relaxed);
+    if (p.pred && (claimed || seen == p.iteration)) OfferParent(p, s, d);
     return claimed;
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, BfsProblem&) {}
@@ -70,11 +62,11 @@ struct BfsIdempotentFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
     const std::int32_t seen = par::AtomicLoad(&p.depth[d]);
     if (seen != -1) {
-      if (p.pred && seen == p.iteration) OfferParent(p, s, d, false);
+      if (p.pred && seen == p.iteration) OfferParent(p, s, d);
       return false;
     }
     par::AtomicStore(&p.depth[d], p.iteration);
-    if (p.pred) OfferParent(p, s, d, true);
+    if (p.pred) OfferParent(p, s, d);
     return true;
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, BfsProblem&) {}
@@ -141,7 +133,6 @@ BfsResult Bfs(const graph::Csr& g, vid_t source, const BfsOptions& opts,
   BfsProblem prob;
   prob.depth = result.depth.data();
   prob.pred = opts.compute_preds ? result.pred.data() : nullptr;
-  prob.one_lane = pool.num_threads() == 1;
   prob.visited = &visited;
 
   core::AdvanceConfig adv_cfg;
