@@ -25,9 +25,11 @@ std::uint64_t PackEdge(vid_t src, vid_t dst) {
 
 struct CsrBuilderAccess {
   static Csr Make(vid_t n, std::vector<eid_t> offsets,
-                  std::vector<vid_t> cols, std::vector<weight_t> weights) {
+                  std::vector<vid_t> cols, std::vector<weight_t> weights,
+                  bool symmetric) {
     Csr g;
     g.num_vertices_ = n;
+    g.symmetric_ = symmetric;
     g.row_offsets_ = std::move(offsets);
     g.col_indices_ = std::move(cols);
     g.weights_ = std::move(weights);
@@ -140,7 +142,8 @@ Csr BuildCsr(const Coo& coo, const BuildOptions& opts,
 
   Csr g = CsrBuilderAccess::Make(n, std::move(offsets), std::move(cols),
                                  weighted ? std::move(vals)
-                                          : std::vector<weight_t>{});
+                                          : std::vector<weight_t>{},
+                                 opts.symmetrize);
   return g;
 }
 
@@ -233,7 +236,7 @@ Csr ReverseCsr(const Csr& g, par::ThreadPool& pool) {
     }
   });
   return CsrBuilderAccess::Make(n, std::move(offsets), std::move(cols),
-                                std::move(weights));
+                                std::move(weights), g.symmetric());
 }
 
 Coo CsrToCoo(const Csr& g, par::ThreadPool& pool) {

@@ -52,6 +52,10 @@ class Csr {
   /// count (the datasets in the paper are all converted to undirected).
   bool IsSymmetric(par::ThreadPool& pool) const;
 
+  /// True when symmetric by construction (BuildCsr with `symmetrize`, or
+  /// the reverse of such a graph): every row is also the in-edge list.
+  bool symmetric() const noexcept { return symmetric_; }
+
   /// Throws gunrock::Error if structural invariants are violated
   /// (monotone offsets, column indices in range, weight array size).
   void Validate() const;
@@ -66,6 +70,7 @@ class Csr {
  private:
   friend struct CsrBuilderAccess;
   vid_t num_vertices_ = 0;
+  bool symmetric_ = false;
   std::vector<eid_t> row_offsets_;
   std::vector<vid_t> col_indices_;
   std::vector<weight_t> weights_;

@@ -1,12 +1,11 @@
 #include "primitives/bfs.hpp"
 
-#include <atomic>
-
 #include "core/advance.hpp"
 #include "core/compute.hpp"
 #include "core/direction.hpp"
 #include "core/filter.hpp"
 #include "core/frontier.hpp"
+#include "graph/stats.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/bitmap.hpp"
 #include "parallel/compact.hpp"
@@ -27,31 +26,15 @@ struct BfsProblem {
   std::int32_t iteration = 0;     // depth to assign this iteration
 };
 
-/// The BFS-tree parent of a reached vertex is its smallest-id in-neighbour
-/// one level up, so the tree is the same for every schedule and thread
-/// count. In a push iteration every frontier source adjacent to a vertex
-/// discovered in that iteration offers itself and the smallest id wins
-/// (kInvalidVid counts as larger than any id). Pull gets the same parent
-/// by stopping at the first frontier vertex of a sorted in-edge row.
-void OfferParent(BfsProblem& p, vid_t s, vid_t d) {
-  std::atomic_ref<vid_t> ref(p.pred[d]);
-  vid_t old = ref.load(std::memory_order_relaxed);
-  while ((old == kInvalidVid || s < old) &&
-         !ref.compare_exchange_weak(old, s, std::memory_order_relaxed)) {
-  }
-}
-
 /// Non-idempotent advance: atomic CAS on the depth label claims each
 /// vertex exactly once, so the output frontier is duplicate-free.
 struct BfsAtomicFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
-    // A failed CAS leaves the current depth in `seen`.
-    std::int32_t seen = -1;
-    const bool claimed = std::atomic_ref<std::int32_t>(p.depth[d])
-                             .compare_exchange_strong(
-                                 seen, p.iteration, std::memory_order_relaxed);
-    if (p.pred && (claimed || seen == p.iteration)) OfferParent(p, s, d);
-    return claimed;
+    if (par::AtomicCas(&p.depth[d], std::int32_t{-1}, p.iteration)) {
+      if (p.pred) p.pred[d] = s;
+      return true;
+    }
+    return false;
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, BfsProblem&) {}
 };
@@ -60,13 +43,9 @@ struct BfsAtomicFunctor {
 /// every writer stores the same depth. Duplicates may be emitted.
 struct BfsIdempotentFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
-    const std::int32_t seen = par::AtomicLoad(&p.depth[d]);
-    if (seen != -1) {
-      if (p.pred && seen == p.iteration) OfferParent(p, s, d);
-      return false;
-    }
+    if (par::AtomicLoad(&p.depth[d]) != -1) return false;
     par::AtomicStore(&p.depth[d], p.iteration);
-    if (p.pred) OfferParent(p, s, d);
+    if (p.pred) par::AtomicStore(&p.pred[d], s);
     return true;
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, BfsProblem&) {}
@@ -83,9 +62,7 @@ struct BfsFilterFunctor {
 };
 
 /// Pull advance: the operator already verified the parent is in the
-/// current frontier; the candidate is unvisited by construction. The
-/// operator stops at the first frontier vertex of the in-edge row, the
-/// smallest id on the sorted rows that BuildCsr emits.
+/// current frontier; the candidate is unvisited by construction.
 struct BfsPullFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
     p.depth[d] = p.iteration;
@@ -108,6 +85,7 @@ BfsResult Bfs(const graph::Csr& g, vid_t source, const BfsOptions& opts,
   par::ThreadPool& pool = opts.Pool();
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
   const graph::Csr& rg = opts.reverse ? *opts.reverse : g;
+  const bool in_edges = opts.reverse != nullptr || g.symmetric();
 
   BfsResult result;
   result.depth.assign(n, -1);
@@ -137,7 +115,9 @@ BfsResult Bfs(const graph::Csr& g, vid_t source, const BfsOptions& opts,
 
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
+  adv_cfg.scale_free_hint = ctl.scale_free_hint >= 0
+                                ? ctl.scale_free_hint > 0
+                                : graph::ComputeScaleFreeHint(g, pool);
   adv_cfg.workspace = &ws;
   core::FilterConfig filter_cfg;
   filter_cfg.history_hash = true;
@@ -211,6 +191,26 @@ BfsResult Bfs(const graph::Csr& g, vid_t source, const BfsOptions& opts,
     } else {
       adv = core::AdvancePush<BfsAtomicFunctor>(
           pool, g, frontier.current(), &frontier.next(), prob, adv_cfg);
+    }
+
+    // A push functor stores whichever frontier source claimed a vertex,
+    // which depends on the schedule. When the rows of `rg` are in-edges,
+    // replace it with the first in-neighbour one level up, the smallest
+    // id on sorted rows and the parent pull picks. With one frontier
+    // vertex every claim already stored the only possible parent.
+    if (!pull && prob.pred && in_edges && n_f > 1) {
+      const std::int32_t up = prob.iteration - 1;
+      core::ForEach(pool, std::span<const vid_t>(frontier.next()),
+                    [&](vid_t v) {
+                      const eid_t end = rg.row_end(v);
+                      for (eid_t e = rg.row_begin(v); e < end; ++e) {
+                        const vid_t u = rg.edge_dest(e);
+                        if (result.depth[u] == up) {
+                          result.pred[v] = u;
+                          break;
+                        }
+                      }
+                    });
     }
 
     result.stats.edges_visited += adv.edges_visited;

@@ -38,6 +38,9 @@ struct BfsResult {
   /// Hop count from the source; -1 for unreachable vertices.
   std::vector<std::int32_t> depth;
   /// BFS-tree parent; kInvalidVid for the source and unreachable vertices.
+  /// On a graph built symmetric, or with `reverse`, it is the first
+  /// in-neighbour one level up (the smallest id on sorted rows) for any
+  /// schedule; otherwise whichever frontier source claimed the vertex.
   std::vector<vid_t> pred;
   core::TraversalStats stats;
 };

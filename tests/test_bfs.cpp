@@ -74,8 +74,8 @@ TEST_P(BfsParamTest, PredecessorsFormValidBfsTree) {
 }
 
 // The parent of every reached vertex is its smallest-id in-neighbour one
-// level up, whatever the schedule. One lane makes the offers in order; an
-// oversubscribed 4-lane pool makes them race even on a 1-core runner.
+// level up, whatever the schedule. An oversubscribed 4-lane pool makes the
+// push claims race even on a 1-core runner.
 TEST_P(BfsParamTest, PredecessorIsSmallestIdParent) {
   static par::ThreadPool one_lane(1);
   static par::ThreadPool four_lanes(4);

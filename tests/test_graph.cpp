@@ -60,6 +60,8 @@ TEST(CsrBuilderTest, SymmetrizeMakesSymmetric) {
   const auto g = BuildCsr(coo, opts);
   EXPECT_EQ(g.num_edges(), 6);
   EXPECT_TRUE(g.IsSymmetric(Pool()));
+  EXPECT_TRUE(g.symmetric());
+  EXPECT_FALSE(BuildCsr(coo).symmetric());
 }
 
 TEST(CsrBuilderTest, FirstDuplicateWeightWinsDeterministically) {
@@ -122,6 +124,7 @@ TEST(CsrTest, ReverseCsrTransposes) {
   const auto g = BuildCsr(coo);
   const auto rg = ReverseCsr(g, Pool());
   rg.Validate();
+  EXPECT_FALSE(rg.symmetric());
   EXPECT_EQ(rg.num_edges(), g.num_edges());
   EXPECT_EQ(rg.degree(1), 2);  // in-edges from 0 and 3
   EXPECT_EQ(rg.degree(0), 0);
@@ -143,6 +146,7 @@ TEST(CsrTest, ReverseOfSymmetricEqualsItself) {
   opts.symmetrize = true;
   const auto g = BuildCsr(GenerateRmat(p, Pool()), opts);
   const auto rg = ReverseCsr(g, Pool());
+  EXPECT_TRUE(rg.symmetric());
   ASSERT_EQ(rg.num_edges(), g.num_edges());
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     ASSERT_EQ(g.degree(v), rg.degree(v));
