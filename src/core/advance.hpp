@@ -18,6 +18,13 @@
 // "computation" steps. The multi-source advance (advance_ms.hpp) is one
 // such functor: it adapts a 64-lane mask functor onto AdvancePush.
 //
+// Functors claim vertices by reading before the lock: most edges point
+// at vertices already claimed, so a claim loads the slot first and runs
+// the locked RMW only when the load shows it can still change the slot
+// (par::AtomicClaim; LaneMaskFrontier::OrBits). That is exact for
+// one-way slots only, which never return to the unclaimed value; a slot
+// whose expected value can recur needs par::AtomicCas.
+//
 // Three workload mappings implement the paper's load-balancing strategies;
 // see policy.hpp. All of them report edges visited and a modeled SIMT lane
 // efficiency. All scratch (degree scans, TWC bins, chunk-local buffers,

@@ -135,8 +135,9 @@ TimedDepths Bfs(const graph::Csr& g, vid_t source, par::ThreadPool& pool) {
             local.clear();
             ExpandTopDown(g, frontier, lo, hi, &local, &scratch.counts[c],
                           [&](vid_t, vid_t v, eid_t) {
-                            return par::AtomicCas(&depth[v],
-                                                  std::int32_t{-1}, level);
+                            return par::AtomicClaim(&depth[v],
+                                                    std::int32_t{-1},
+                                                    level) == -1;
                           });
           });
       GatherChunks(pool, scratch.locals, chunks, &next);
@@ -259,13 +260,13 @@ TimedBc Bc(const graph::Csr& g, vid_t source, par::ThreadPool& pool) {
           local.clear();
           ExpandTopDown(g, frontier, lo, hi, &local, &scratch.counts[c],
                         [&](vid_t u, vid_t v, eid_t) {
-                          const bool first = par::AtomicCas(
+                          const std::int32_t prev = par::AtomicClaim(
                               &depth_p[v], std::int32_t{-1}, level);
-                          if (par::AtomicLoad(&depth_p[v]) == level) {
+                          if (prev == -1 || prev == level) {
                             par::AtomicAdd(&sigma_p[v],
                                            par::AtomicLoad(&sigma_p[u]));
                           }
-                          return first;
+                          return prev == -1;
                         });
         });
     std::vector<vid_t> next;

@@ -70,6 +70,23 @@ inline bool AtomicCas(T* addr, T expected, T desired) {
                                      std::memory_order_relaxed);
 }
 
+/// Test-and-test-and-set claim of a one-way slot: a slot that leaves
+/// `unclaimed` never returns to it. A relaxed load runs first, and the
+/// locked CAS only while that load still shows `unclaimed`, so a claim on
+/// an already-claimed slot never takes its cache line exclusive. Returns
+/// the slot's previous value: `unclaimed` means this call claimed it
+/// (exactly one of any set of concurrent claimants sees that). Slots whose
+/// expected value can recur must use AtomicCas.
+template <typename T>
+inline T AtomicClaim(T* addr, T unclaimed, T desired) {
+  std::atomic_ref<T> ref(*addr);
+  T seen = ref.load(std::memory_order_relaxed);
+  if (seen == unclaimed) {
+    ref.compare_exchange_strong(seen, desired, std::memory_order_relaxed);
+  }
+  return seen;
+}
+
 /// Atomic exchange; returns the previous value.
 template <typename T>
 inline T AtomicExchange(T* addr, T val) {

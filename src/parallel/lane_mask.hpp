@@ -17,8 +17,8 @@
 // the stamp to a reserved kResetting value, stores its bits over the stale
 // mask, then publishes the epoch stamp; concurrent touchers spin (bounded:
 // two stores) until the stamp is current and then fetch_or. In the common
-// case — the slot is already stamped — OrBits is one load plus one
-// fetch_or, exactly the scalar Bitmap::Set cost.
+// case — the slot is already stamped — OrBits is two loads plus one
+// fetch_or, and only the loads when every bit is already present.
 #pragma once
 
 #include <atomic>
@@ -72,6 +72,10 @@ class LaneMaskFrontier {
     for (;;) {
       std::uint32_t s = stamps_[i].load(std::memory_order_acquire);
       if (s == epoch_) {
+        // Masks only grow within an epoch, so bits already present stay
+        // present: skip the locked RMW (read before the lock).
+        const std::uint64_t mask = masks_[i].load(std::memory_order_relaxed);
+        if ((mask & bits) == bits) return mask;
         return masks_[i].fetch_or(bits, std::memory_order_relaxed);
       }
       if (s != kResetting &&

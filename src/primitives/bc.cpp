@@ -18,18 +18,19 @@ struct BcProblem {
   std::int32_t iteration = 0;
 };
 
-/// Forward phase: discover (CAS on depth) and accumulate sigma across
-/// every same-level edge. The atomic pattern guarantees each level-
-/// crossing edge contributes exactly once regardless of which thread won
-/// the discovery race.
+/// Forward phase: discover (claim on depth) and accumulate sigma across
+/// every level-crossing edge. A depth is written once, so the claim's
+/// previous value is final: each level-crossing edge contributes exactly
+/// once regardless of which thread won the discovery race, and edges to
+/// already-labelled vertices skip the locked CAS.
 struct BcForwardFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BcProblem& p) {
-    const bool discovered =
-        par::AtomicCas(&p.depth[d], std::int32_t{-1}, p.iteration);
-    if (par::AtomicLoad(&p.depth[d]) == p.iteration) {
+    const std::int32_t prev =
+        par::AtomicClaim(&p.depth[d], std::int32_t{-1}, p.iteration);
+    if (prev == -1 || prev == p.iteration) {
       par::AtomicAdd(&p.sigma[d], par::AtomicLoad(&p.sigma[s]));
     }
-    return discovered;
+    return prev == -1;
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, BcProblem&) {}
 };

@@ -26,11 +26,12 @@ struct BfsProblem {
   std::int32_t iteration = 0;     // depth to assign this iteration
 };
 
-/// Non-idempotent advance: atomic CAS on the depth label claims each
+/// Non-idempotent advance: an atomic claim on the depth label takes each
 /// vertex exactly once, so the output frontier is duplicate-free.
 struct BfsAtomicFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, BfsProblem& p) {
-    if (par::AtomicCas(&p.depth[d], std::int32_t{-1}, p.iteration)) {
+    if (par::AtomicClaim(&p.depth[d], std::int32_t{-1}, p.iteration) ==
+        -1) {
       if (p.pred) p.pred[d] = s;
       return true;
     }

@@ -112,12 +112,16 @@ MstResult Mst(const graph::Csr& g, const MstOptions& opts,
       hook[r] = (cu == static_cast<vid_t>(r)) ? cv : cu;
     });
     // Break mutual hooks (r <-> s choose the same edge): smaller id wins.
+    // Only the smaller root of a pair resets its hook, and no other root
+    // can read that hook as pointing back at itself, so the concurrent
+    // reads race benignly (relaxed atomics).
     core::ForAll(pool, n, [&](std::size_t r) {
-      const vid_t h = hook[r];
+      const vid_t h = par::AtomicLoad(&hook[r]);
       if (h != static_cast<vid_t>(r) &&
-          hook[static_cast<std::size_t>(h)] == static_cast<vid_t>(r) &&
+          par::AtomicLoad(&hook[static_cast<std::size_t>(h)]) ==
+              static_cast<vid_t>(r) &&
           static_cast<vid_t>(r) < h) {
-        hook[r] = static_cast<vid_t>(r);
+        par::AtomicStore(&hook[r], static_cast<vid_t>(r));
       }
     });
     // Collect winning edges exactly once.
@@ -158,11 +162,14 @@ MstResult Mst(const graph::Csr& g, const MstOptions& opts,
     bool changed = true;
     while (changed) {
       changed = false;
+      // Pointer jumping reads labels other lanes are shortening; any
+      // ancestor read is a valid jump target (relaxed atomics).
       core::ForAll(pool, n, [&](std::size_t v) {
-        const vid_t parent = comp[v];
-        const vid_t grand = comp[static_cast<std::size_t>(parent)];
+        const vid_t parent = par::AtomicLoad(&comp[v]);
+        const vid_t grand =
+            par::AtomicLoad(&comp[static_cast<std::size_t>(parent)]);
         if (parent != grand) {
-          comp[v] = grand;
+          par::AtomicStore(&comp[v], grand);
           par::AtomicStore(&changed, true);
         }
       });

@@ -147,15 +147,17 @@ MisResult MaximalIndependentSet(const graph::Csr& g, const MisOptions& opts) {
               return;
             }
           }
-          state[v] = 1;
+          par::AtomicStore(&state[v], std::uint8_t{1});
         });
-    // Luby step 2: neighbors of fresh members are excluded.
+    // Luby step 2: neighbors of fresh members are excluded. A neighbour's
+    // state may turn 0 -> 2 concurrently; either value reads "not a
+    // member", so the race is benign and relaxed atomics express it.
     core::ForEach(pool, std::span<const vid_t>(frontier.current()),
                   [&](vid_t v) {
-                    if (state[v] != 0) return;
+                    if (par::AtomicLoad(&state[v]) != 0) return;
                     for (const vid_t u : g.neighbors(v)) {
-                      if (state[u] == 1) {
-                        state[v] = 2;
+                      if (par::AtomicLoad(&state[u]) == 1) {
+                        par::AtomicStore(&state[v], std::uint8_t{2});
                         return;
                       }
                     }

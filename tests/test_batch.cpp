@@ -340,6 +340,41 @@ TEST(LaneMaskFrontierTest, EpochInvalidatesInO1) {
   EXPECT_EQ(f.Load(7), 0b1000u);
 }
 
+// Re-OR'ing bits that are already present skips the RMW: it reports the
+// current mask and changes nothing.
+TEST(LaneMaskFrontierTest, ReOrOfPresentBitsIsANoOp) {
+  par::LaneMaskFrontier f;
+  f.Resize(8);
+  EXPECT_EQ(f.OrBits(3, 0b110), 0u);
+  EXPECT_EQ(f.OrBits(3, 0b110), 0b110u);
+  EXPECT_EQ(f.OrBits(3, 0b010), 0b110u);
+  EXPECT_EQ(f.Load(3), 0b110u);
+  EXPECT_EQ(f.OrBits(3, 0b011), 0b110u) << "a new bit still lands";
+  EXPECT_EQ(f.Load(3), 0b111u);
+  EXPECT_EQ(f.Load(2), 0u);
+}
+
+TEST(LaneMaskFrontierTest, ManyWritersOfOneBitTouchFirstOnce) {
+  par::ThreadPool pool(4);
+  par::LaneMaskFrontier f;
+  const std::size_t n = 256;
+  f.Resize(n);
+  for (int round = 0; round < 20; ++round) {
+    f.NewEpoch();
+    const std::uint64_t bit = std::uint64_t{1} << (round % 64);
+    std::atomic<int> first_touches{0};
+    par::ParallelFor(pool, 0, n * 64, [&](std::size_t i) {
+      if (f.OrBits(i % n, bit) == 0) {
+        first_touches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    ASSERT_EQ(first_touches.load(), static_cast<int>(n));
+    for (std::size_t v = 0; v < n; ++v) {
+      ASSERT_EQ(f.Load(v), bit) << "vertex " << v;
+    }
+  }
+}
+
 TEST(LaneMaskFrontierTest, ConcurrentOrBitsLoseNothing) {
   auto& pool = par::ThreadPool::Global();
   par::LaneMaskFrontier f;

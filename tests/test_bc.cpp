@@ -36,19 +36,30 @@ std::string BcName(const ::testing::TestParamInfo<
   return test::SafeTestName(std::move(name));
 }
 
+// The global pool, plus an oversubscribed 4-lane pool so concurrent
+// discovery claims and sigma additions race even on a 1-core runner.
+std::vector<par::ThreadPool*> Pools() {
+  static par::ThreadPool four_lanes(4);
+  return {nullptr, &four_lanes};
+}
+
 TEST_P(BcParamTest, SingleSourceMatchesBrandes) {
   const auto& [idx, lb] = GetParam();
   const auto& c = Cases()[idx];
   const vid_t src_list[] = {c.source};
   const auto expected = serial::Brandes(c.graph, src_list);
 
-  BcOptions opts;
-  opts.load_balance = lb;
-  const auto got = Bc(c.graph, c.source, opts);
-  ASSERT_EQ(got.bc.size(), expected.size());
-  for (std::size_t v = 0; v < expected.size(); ++v) {
-    EXPECT_NEAR(got.bc[v], expected[v], 1e-9 + 1e-9 * expected[v])
-        << "vertex " << v;
+  for (par::ThreadPool* pool : Pools()) {
+    BcOptions opts;
+    opts.pool = pool;
+    opts.load_balance = lb;
+    const auto got = Bc(c.graph, c.source, opts);
+    ASSERT_EQ(got.bc.size(), expected.size());
+    for (std::size_t v = 0; v < expected.size(); ++v) {
+      EXPECT_NEAR(got.bc[v], expected[v], 1e-9 + 1e-9 * expected[v])
+          << "vertex " << v << ", " << opts.Pool().num_threads()
+          << " lanes";
+    }
   }
 }
 
@@ -60,12 +71,16 @@ TEST_P(BcParamTest, MultiSourceMatchesBrandes) {
     sources.push_back(s);
   }
   const auto expected = serial::Brandes(c.graph, sources);
-  BcOptions opts;
-  opts.load_balance = lb;
-  const auto got = BcMultiSource(c.graph, sources, opts);
-  for (std::size_t v = 0; v < expected.size(); ++v) {
-    EXPECT_NEAR(got.bc[v], expected[v], 1e-8 + 1e-8 * expected[v])
-        << "vertex " << v;
+  for (par::ThreadPool* pool : Pools()) {
+    BcOptions opts;
+    opts.pool = pool;
+    opts.load_balance = lb;
+    const auto got = BcMultiSource(c.graph, sources, opts);
+    for (std::size_t v = 0; v < expected.size(); ++v) {
+      EXPECT_NEAR(got.bc[v], expected[v], 1e-8 + 1e-8 * expected[v])
+          << "vertex " << v << ", " << opts.Pool().num_threads()
+          << " lanes";
+    }
   }
 }
 

@@ -47,41 +47,54 @@ std::string ConfigName(const ::testing::TestParamInfo<
 class BfsParamTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, Config>> {};
 
+// An oversubscribed 4-lane pool makes the push claims race even on a
+// 1-core runner.
+par::ThreadPool& FourLanes() {
+  static par::ThreadPool pool(4);
+  return pool;
+}
+
 TEST_P(BfsParamTest, MatchesSerialDepths) {
   const auto& [case_idx, cfg] = GetParam();
   const auto& c = Cases()[case_idx];
   const auto expected = serial::Bfs(c.graph, c.source);
 
-  BfsOptions opts;
-  opts.load_balance = cfg.lb;
-  opts.idempotent = cfg.idempotent;
-  opts.direction = cfg.direction;
-  const auto got = Bfs(c.graph, c.source, opts);
+  for (par::ThreadPool* pool : {static_cast<par::ThreadPool*>(nullptr),
+                                &FourLanes()}) {
+    BfsOptions opts;
+    opts.pool = pool;
+    opts.load_balance = cfg.lb;
+    opts.idempotent = cfg.idempotent;
+    opts.direction = cfg.direction;
+    const auto got = Bfs(c.graph, c.source, opts);
 
-  test::ExpectSameLabels(expected.depth, got.depth);
+    test::ExpectSameLabels(expected.depth, got.depth);
+  }
 }
 
 TEST_P(BfsParamTest, PredecessorsFormValidBfsTree) {
   const auto& [case_idx, cfg] = GetParam();
   const auto& c = Cases()[case_idx];
-  BfsOptions opts;
-  opts.load_balance = cfg.lb;
-  opts.idempotent = cfg.idempotent;
-  opts.direction = cfg.direction;
-  const auto got = Bfs(c.graph, c.source, opts);
+  for (par::ThreadPool* pool : {static_cast<par::ThreadPool*>(nullptr),
+                                &FourLanes()}) {
+    BfsOptions opts;
+    opts.pool = pool;
+    opts.load_balance = cfg.lb;
+    opts.idempotent = cfg.idempotent;
+    opts.direction = cfg.direction;
+    const auto got = Bfs(c.graph, c.source, opts);
 
-  test::ExpectValidBfsTree(c.graph, c.source, got);
+    test::ExpectValidBfsTree(c.graph, c.source, got);
+  }
 }
 
 // The parent of every reached vertex is its smallest-id in-neighbour one
-// level up, whatever the schedule. An oversubscribed 4-lane pool makes the
-// push claims race even on a 1-core runner.
+// level up, whatever the schedule.
 TEST_P(BfsParamTest, PredecessorIsSmallestIdParent) {
   static par::ThreadPool one_lane(1);
-  static par::ThreadPool four_lanes(4);
   const auto& [case_idx, cfg] = GetParam();
   const auto& c = Cases()[case_idx];
-  for (par::ThreadPool* pool : {&one_lane, &four_lanes}) {
+  for (par::ThreadPool* pool : {&one_lane, &FourLanes()}) {
     BfsOptions opts;
     opts.pool = pool;
     opts.load_balance = cfg.lb;
