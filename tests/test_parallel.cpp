@@ -566,6 +566,29 @@ TEST(AtomicsTest, CasClaimsUniquely) {
   EXPECT_EQ(slot, 7);
 }
 
+// Every claimant of a one-way slot learns its final value: the winner
+// sees `unclaimed`, every loser sees the winner's value (BC's sigma
+// accumulation relies on that). 64 claimants per slot, interleaved, so
+// lanes race on the same slots.
+TEST(AtomicsTest, ClaimReportsTheWinnersValue) {
+  ThreadPool pool(8);
+  const std::size_t slots = 256;
+  const std::size_t claimants = 64 * slots;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::int32_t> slot(slots, -1);
+    std::vector<std::int32_t> seen(claimants);
+    ParallelFor(pool, 0, claimants, [&](std::size_t i) {
+      seen[i] = AtomicClaim(&slot[i % slots], std::int32_t{-1},
+                            static_cast<std::int32_t>(i));
+    });
+    for (std::size_t i = 0; i < claimants; ++i) {
+      const std::int32_t won = slot[i % slots];
+      ASSERT_EQ(seen[i], static_cast<std::size_t>(won) == i ? -1 : won)
+          << "claimant " << i;
+    }
+  }
+}
+
 TEST(HistogramTest, MatchesSerialCounts) {
   ThreadPool pool(6);
   const std::size_t n = 100000;
