@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
               g.num_vertices(), static_cast<long long>(g.num_edges()),
               params.num_clusters);
 
-  // 1. Connected components (Soman hooking + pointer jumping).
+  // 1. Connected components (root hooking with path halving).
   const auto cc = Cc(g);
   std::printf("\nCC found %d components in %.1f ms (%d hooking rounds)\n",
               cc.num_components, cc.stats.elapsed_ms,

@@ -1,11 +1,11 @@
 #include "dynamic/incremental.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "core/advance.hpp"
 #include "parallel/atomics.hpp"
+#include "parallel/union_find.hpp"
 #include "util/error.hpp"
 
 namespace gunrock::dynamic {
@@ -227,35 +227,24 @@ void IncrementalCc::Recompute() {
 
 void IncrementalCc::Repair() {
   // Union-by-min over the labels touched by inserted cross-component
-  // edges. Labels are min-vertex-ids, so attaching the larger root under
-  // the smaller keeps the invariant and the final remap reproduces
-  // exactly what a from-scratch run would compute.
-  std::unordered_map<vid_t, vid_t> parent;
-  auto find = [&](vid_t x) {
-    while (true) {
-      auto it = parent.find(x);
-      if (it == parent.end() || it->second == x) return x;
-      x = it->second;
-    }
-  };
+  // edges. Labels are min-vertex-ids, so the labeling is already a
+  // union-find forest of roots (component_[label] == label); attaching
+  // the larger root under the smaller keeps the invariant and the final
+  // flatten reproduces exactly what a from-scratch run would compute.
+  vid_t* comp = component_.data();
   vid_t merges = 0;
   for (const EdgeUpdate& up : snapshot_->inserted_since_parent()) {
-    const vid_t ru = find(component_[up.src]);
-    const vid_t rv = find(component_[up.dst]);
+    const vid_t ru = par::FindRoot(comp, up.src);
+    const vid_t rv = par::FindRoot(comp, up.dst);
     if (ru == rv) continue;
-    const vid_t lo = std::min(ru, rv), hi = std::max(ru, rv);
-    parent[hi] = lo;
+    comp[std::max(ru, rv)] = std::min(ru, rv);
     ++merges;
   }
   if (merges != 0) {
-    // Flatten the root map once, then remap every vertex label through
-    // the read-only table.
-    std::unordered_map<vid_t, vid_t> root;
-    root.reserve(parent.size());
-    for (const auto& [from, _] : parent) root.emplace(from, find(from));
-    for (vid_t& label : component_) {
-      auto it = root.find(label);
-      if (it != root.end()) label = it->second;
+    // Each parent is smaller than its child, so in ascending order a
+    // parent is already flat when its children read it.
+    for (vid_t v = 0; v < static_cast<vid_t>(component_.size()); ++v) {
+      comp[v] = comp[comp[v]];
     }
     num_components_ -= merges;
   }

@@ -8,6 +8,7 @@
 #include "parallel/compact.hpp"
 #include "parallel/for_each.hpp"
 #include "parallel/reduce.hpp"
+#include "parallel/union_find.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -319,23 +320,12 @@ TimedComponents Cc(const graph::Csr& g, par::ThreadPool& pool) {
   // the edges suffices — a failed hook retries with the refreshed roots
   // until the endpoints share one. This is the fused, frontier-free loop
   // a hardwired implementation gets to write.
-  const auto find = [&](vid_t x) {
-    while (true) {
-      const vid_t p = par::AtomicLoad(&comp[x]);
-      if (p == x) return x;
-      const vid_t gp = par::AtomicLoad(&comp[p]);
-      if (p == gp) return p;
-      // Path halving; benign race (labels only ever decrease).
-      par::AtomicCas(&comp[x], p, gp);
-      x = gp;
-    }
-  };
   par::ParallelFor(pool, 0, m, [&](std::size_t e) {
     const vid_t eu = srcs[e], ev = dsts[e];
     if (eu > ev) return;  // each undirected edge once
     vid_t u = eu, v = ev;
     while (true) {
-      const vid_t ru = find(u), rv = find(v);
+      const vid_t ru = par::FindRoot(comp, u), rv = par::FindRoot(comp, v);
       if (ru == rv) return;
       const vid_t hi = std::max(ru, rv), lo = std::min(ru, rv);
       if (par::AtomicCas(&comp[hi], hi, lo)) return;
@@ -345,9 +335,7 @@ TimedComponents Cc(const graph::Csr& g, par::ThreadPool& pool) {
   });
   // Final flatten to the (now stable) roots.
   par::ParallelFor(pool, 0, n, [&](std::size_t v) {
-    vid_t root = comp[v];
-    while (comp[root] != root) root = comp[root];
-    comp[v] = root;
+    par::AtomicStore(&comp[v], par::FindRoot(comp, static_cast<vid_t>(v)));
   });
 
   out.num_components = static_cast<vid_t>(par::TransformReduce(

@@ -6,7 +6,7 @@
 #include "parallel/atomics.hpp"
 #include "parallel/compact.hpp"
 #include "parallel/reduce.hpp"
-#include "util/error.hpp"
+#include "parallel/union_find.hpp"
 #include "util/timer.hpp"
 
 namespace gunrock {
@@ -17,35 +17,20 @@ struct CcProblem {
   vid_t* comp = nullptr;
 };
 
-/// Hooking filter on the edge frontier: drop intra-component edges, hook
-/// the larger label under the smaller for the rest. AtomicMin makes the
-/// concurrent hooks monotone, so the labels only ever decrease.
+/// Hooking filter on the edge frontier: find both endpoints' roots (with
+/// path halving) and CAS the larger root under the smaller. The edge is
+/// dropped once its endpoints share a root or its hook lands; it stays
+/// for the next round only when another hook claimed that root first.
 struct CcHookFunctor {
   static bool CondEdge(vid_t s, vid_t d, eid_t, CcProblem& p) {
-    const vid_t cs = par::AtomicLoad(&p.comp[s]);
-    const vid_t cd = par::AtomicLoad(&p.comp[d]);
-    if (cs == cd) return false;
-    const vid_t hi = cs > cd ? cs : cd;
-    const vid_t lo = cs > cd ? cd : cs;
-    par::AtomicMin(&p.comp[hi], lo);
-    return true;  // keep: endpoints may still be in different components
+    const vid_t rs = par::FindRoot(p.comp, s);
+    const vid_t rd = par::FindRoot(p.comp, d);
+    if (rs == rd) return false;
+    const vid_t hi = rs > rd ? rs : rd;
+    const vid_t lo = rs > rd ? rd : rs;
+    return !par::AtomicCas(&p.comp[hi], hi, lo);
   }
   static void ApplyEdge(vid_t, vid_t, eid_t, CcProblem&) {}
-};
-
-/// Pointer-jumping filter on the vertex frontier: multi-level trees
-/// shrink toward stars; vertices whose label is already a root drop out.
-struct CcJumpFunctor {
-  static bool CondVertex(vid_t v, CcProblem& p) {
-    const vid_t parent = par::AtomicLoad(&p.comp[v]);
-    const vid_t grand = par::AtomicLoad(&p.comp[parent]);
-    if (parent != grand) {
-      par::AtomicMin(&p.comp[v], grand);
-      return true;  // may need further jumping
-    }
-    return false;
-  }
-  static void ApplyVertex(vid_t, CcProblem&) {}
 };
 
 }  // namespace
@@ -72,7 +57,7 @@ CcResult Cc(const graph::Csr& g, const CcOptions& opts,
   const auto edge_src = g.edge_sources(pool);
   const auto edge_dst = g.col_indices();
 
-  // Enactor-owned arena shared by the hooking and pointer-jumping passes;
+  // Enactor-owned arena for the edge frontier and the filter's scratch;
   // an engine lease extends the reuse across queries.
   core::Workspace private_ws;
   core::Workspace& ws = ctl.workspace ? *ctl.workspace : private_ws;
@@ -81,12 +66,10 @@ CcResult Cc(const graph::Csr& g, const CcOptions& opts,
 
   WallTimer timer;
 
-  // Edge frontier: one arc per undirected edge (u < v); on a directed
-  // input every arc participates (hooking is symmetric anyway).
+  // Edge frontier: one arc per undirected edge (u <= v); on a directed
+  // input every such arc participates (hooking is symmetric anyway).
   auto& edges = ws.Get<core::EdgeFrontier>(pslot::kCcFirst);
-  auto& vertices = ws.Get<core::VertexFrontier>(pslot::kCcFirst + 1);
   edges.Clear();
-  vertices.Clear();
   {
     edges.current().resize(m);
     const std::size_t kept = par::GenerateIf(
@@ -96,54 +79,24 @@ CcResult Cc(const graph::Csr& g, const CcOptions& opts,
     edges.current().resize(kept);
   }
 
+  // Each round retries only the edges whose hook lost a race, so a pool
+  // without contention finishes in one.
   while (!edges.empty()) {
     ctl.Checkpoint();
-    // Hooking pass over the surviving cross-component edges.
     const auto hook = core::FilterEdge<CcHookFunctor>(
         pool, edge_src, edge_dst, edges.current(), &edges.next(), prob,
         filter_cfg);
     result.stats.edges_visited += static_cast<eid_t>(hook.input_size);
     edges.Flip();
     ++result.stats.iterations;
-
-    // Pointer jumping to convergence (each pass halves tree depth).
-    vertices.current().resize(n);
-    core::ForAll(pool, n, [&](std::size_t v) {
-      vertices.current()[v] = static_cast<vid_t>(v);
-    });
-    while (!vertices.empty()) {
-      core::FilterVertex<CcJumpFunctor>(pool, vertices.current(),
-                                        &vertices.next(), prob, filter_cfg);
-      vertices.Flip();
-    }
-    if (hook.output_size == hook.input_size) {
-      // No edge was dropped this round; after jumping, labels are flat and
-      // the next hooking pass will prune — but if hooking also made no
-      // progress (fully flat labels, all edges intra-component) we are
-      // done. The explicit check below avoids a pathological spin.
-      const std::size_t cross = par::CountIf(
-          pool, std::span<const eid_t>(edges.current()), [&](eid_t e) {
-            return result.component[edge_src[static_cast<std::size_t>(e)]] !=
-                   result.component[edge_dst[static_cast<std::size_t>(e)]];
-          });
-      if (cross == 0) break;
-    }
   }
 
-  // Final flatten (labels may be one hop from the root after the last
-  // hooking) and component count.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    core::ForAll(pool, n, [&](std::size_t v) {
-      const vid_t parent = result.component[v];
-      const vid_t grand = result.component[parent];
-      if (parent != grand) {
-        result.component[v] = grand;
-        par::AtomicStore(&changed, true);
-      }
-    });
-  }
+  // Final flatten: every label becomes its (now stable) root, the
+  // component's minimum vertex id.
+  core::ForAll(pool, n, [&](std::size_t v) {
+    par::AtomicStore(&prob.comp[v],
+                     par::FindRoot(prob.comp, static_cast<vid_t>(v)));
+  });
   result.num_components = static_cast<vid_t>(par::TransformReduce(
       pool, n, std::size_t{0},
       [](std::size_t a, std::size_t b) { return a + b; },

@@ -1,12 +1,16 @@
-// Connected components (paper Section 5.4), after Soman et al.
+// Connected components (paper Section 5.4), after Soman et al., with the
+// root hooking of ECL-CC (Jaiganesh & Burtscher, HPDC 2018).
 //
-// Two PRAM kernels alternate, both expressed as Gunrock filters: *hooking*
-// runs on an edge frontier — each cross-component edge hooks the higher
-// component label onto the lower (atomicMin keeps the race monotone) and
-// edges inside one component are filtered away; *pointer jumping* runs on
-// a vertex frontier — each vertex short-cuts its label chain
-// (comp[v] = comp[comp[v]]) and converged vertices are filtered away.
-// The outer loop repeats until no cross-component edge remains.
+// One hooking filter runs on an edge frontier of the u <= v arcs: each
+// edge finds both endpoints' roots in the union-find forest `component`,
+// halving the paths on the way (par::FindRoot), and CASes the larger root
+// under the smaller. An edge is filtered away once its roots match or its
+// CAS lands; only edges whose CAS lost to a concurrent hook of the same
+// root stay for the next round, so `stats.iterations` counts hooking
+// rounds — 1 without contention — and `stats.edges_visited` the edges
+// they examined. A final flatten points every vertex at its root. Roots
+// are only ever hooked under smaller roots, so each label is the
+// component's minimum vertex id, whatever the schedule.
 #pragma once
 
 #include <vector>

@@ -5,7 +5,7 @@
 // its minimum-weight outgoing edge (an atomic-min over packed
 // (weight, edge-id) keys — the tie-breaking by edge id makes the choice a
 // total order, which prevents cycles), the chosen edges join the forest,
-// components merge by hooking + pointer jumping exactly like CC, and an
+// components merge by hooking + pointer jumping, and an
 // edge-frontier filter drops the arcs that became intra-component.
 #pragma once
 

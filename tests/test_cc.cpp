@@ -2,9 +2,13 @@
 // and partition-equivalence on assorted topologies.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "common/env.hpp"
 #include "common/oracle.hpp"
 #include "common/topologies.hpp"
 #include "gunrock.hpp"
+#include "util/rng.hpp"
 
 namespace gunrock {
 namespace {
@@ -17,6 +21,21 @@ const std::vector<TopologyCase>& Cases() {
     // All-isolated vertices: no edges at all.
     graph::Coo isolated;
     isolated.num_vertices = 64;
+    // A path through shuffled ids: a tree has no spare edge, so a hook
+    // that lost its CAS and were dropped would split the component, and
+    // the scattered ids make concurrent hooks meet on shared roots.
+    constexpr vid_t kShuffledPath = 4096;
+    std::vector<vid_t> ids(kShuffledPath);
+    std::iota(ids.begin(), ids.end(), vid_t{0});
+    CounterRng rng(test::TestSeed());
+    for (vid_t i = kShuffledPath - 1; i > 0; --i) {
+      std::swap(ids[i], ids[rng.NextBounded(i + 1)]);
+    }
+    graph::Coo shuffled_path;
+    shuffled_path.num_vertices = kShuffledPath;
+    for (vid_t i = 1; i < kShuffledPath; ++i) {
+      shuffled_path.PushEdge(ids[i - 1], ids[i]);
+    }
     return new std::vector<TopologyCase>(
         test::CorpusBuilder()
             .Karate()
@@ -27,6 +46,7 @@ const std::vector<TopologyCase>& Cases() {
             .Rmat(13, 4)  // sparse: many small components + one giant
             .Rgg(12)
             .Custom("isolated", std::move(isolated))
+            .Custom("shuffled-path", std::move(shuffled_path))
             .Build());
   }();
   return *cases;
@@ -39,35 +59,52 @@ std::string CcName(
   return test::SafeTestName(Cases()[info.param].name);
 }
 
+// The global pool, plus oversubscribed 4- and 16-lane pools so the root
+// hooks race (and so exercise the lost-CAS retry rounds) even on a
+// 1-core runner.
+std::vector<par::ThreadPool*> Pools() {
+  static par::ThreadPool four_lanes(4);
+  static par::ThreadPool sixteen_lanes(16);
+  return {nullptr, &four_lanes, &sixteen_lanes};
+}
+
 TEST_P(CcParamTest, MatchesUnionFind) {
   const auto& g = Cases()[GetParam()].graph;
   const auto expected = serial::ConnectedComponents(g);
-  const auto got = Cc(g);
+  for (par::ThreadPool* pool : Pools()) {
+    CcOptions opts;
+    opts.pool = pool;
+    const auto got = Cc(g, opts);
 
-  EXPECT_EQ(got.num_components, expected.num_components);
-  // Both label components by their minimum vertex id, so labels must
-  // match exactly, not just up to renaming.
-  test::ExpectSameLabels(expected.component, got.component);
+    EXPECT_EQ(got.num_components, expected.num_components);
+    // Both label components by their minimum vertex id, so labels must
+    // match exactly, not just up to renaming.
+    test::ExpectSameLabels(expected.component, got.component);
+  }
 }
 
 TEST_P(CcParamTest, LabelsAreRootsAndMinimal) {
   const auto& g = Cases()[GetParam()].graph;
-  const auto got = Cc(g);
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const vid_t label = got.component[v];
-    EXPECT_LE(label, v);                          // min-id labeling
-    EXPECT_EQ(got.component[label], label);       // label is a root
-  }
-  // Neighbors share a component.
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    for (const vid_t v : g.neighbors(u)) {
-      EXPECT_EQ(got.component[u], got.component[v]);
+  for (par::ThreadPool* pool : Pools()) {
+    CcOptions opts;
+    opts.pool = pool;
+    const auto got = Cc(g, opts);
+    for (vid_t v = 0; v < g.num_vertices(); ++v) {
+      const vid_t label = got.component[v];
+      EXPECT_LE(label, v);                          // min-id labeling
+      EXPECT_EQ(got.component[label], label);       // label is a root
+    }
+    // Neighbors share a component.
+    for (vid_t u = 0; u < g.num_vertices(); ++u) {
+      for (const vid_t v : g.neighbors(u)) {
+        EXPECT_EQ(got.component[u], got.component[v]);
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGraphs, CcParamTest,
-                         ::testing::Range<std::size_t>(0, 8), CcName);
+                         ::testing::Range<std::size_t>(0, 9), CcName);
 
 TEST(CcTest, EmptyGraph) {
   graph::Coo coo;
@@ -97,15 +134,29 @@ TEST(CcTest, TwoTriangles) {
 }
 
 TEST(CcTest, LongChainStressesPointerJumping) {
-  // A path is the worst case for hooking (depth ~ n without jumping).
+  // A path is the worst case for hooking (depth ~ n without path halving).
   const auto g = Undirected(graph::MakePath(10000));
   const auto got = Cc(g);
   EXPECT_EQ(got.num_components, 1);
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     ASSERT_EQ(got.component[v], 0);
   }
-  // Pointer jumping must keep rounds logarithmic-ish, far below n.
+  // Rounds must stay logarithmic-ish, far below n.
   EXPECT_LT(got.stats.iterations, 64);
+
+  // Without a second lane no root CAS can lose, so one hooking round
+  // visits each u <= v arc exactly once and retries none.
+  eid_t arcs = 0;
+  for (vid_t u = 0; u < g.num_vertices(); ++u) {
+    for (const vid_t v : g.neighbors(u)) arcs += u <= v ? 1 : 0;
+  }
+  par::ThreadPool one_lane(1);
+  CcOptions opts;
+  opts.pool = &one_lane;
+  const auto serial = Cc(g, opts);
+  EXPECT_EQ(serial.component, got.component);
+  EXPECT_EQ(serial.stats.iterations, 1);
+  EXPECT_EQ(serial.stats.edges_visited, arcs);
 }
 
 }  // namespace
