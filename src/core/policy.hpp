@@ -40,12 +40,11 @@ inline const char* ToString(LoadBalance lb) {
 }
 
 /// Execution backend for the dense-iteration primitives (PageRank, HITS,
-/// SALSA, PPR): the classic frontier-operator formulation, or the
-/// merge-path semiring SpMV/SpMM sweep (core/spmv.hpp). kAuto picks per
-/// topology the way LoadBalance::kAuto does — the SpMV sweep wins where
-/// frontiers stay dense and degree skew starves a row-mapped gather
-/// (scale-free graphs); the frontier path keeps its edge on meshes and
-/// for push-style sparse propagation.
+/// SALSA, PPR): the frontier-operator push formulation, or the merge-path
+/// semiring SpMV/SpMM sweep (core/spmv.hpp). kAuto reads no topology:
+/// HITS and SALSA take the sweep on every graph (it beat the atomic push
+/// on meshes and power-law graphs alike), PageRank follows its `pull`
+/// flag, and PPR keeps push, where the engine's wave coalescing lives.
 enum class SpmvBackend {
   kAuto,
   kFrontier,

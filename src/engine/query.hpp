@@ -197,10 +197,16 @@ inline std::optional<std::string> ValidateSource(const QueryRequest& request,
   return std::nullopt;
 }
 
-/// True for request kinds that need the registered graph's reverse CSR:
-/// HITS/SALSA always, PPR when its spmv backend (a gather over the
-/// reverse orientation) was requested.
-inline bool NeedsReverseGraph(const QueryRequest& request) {
+/// True for requests on `g` that need its reverse CSR: HITS/SALSA
+/// always, PPR when its spmv backend (a gather over the reverse
+/// orientation) was requested, and PageRank when its gather runs on a
+/// graph not built symmetric.
+inline bool NeedsReverseGraph(const graph::Csr& g,
+                              const QueryRequest& request) {
+  if (const auto* pr = std::get_if<PagerankQuery>(&request)) {
+    return pr->opts.Gathers() && !g.symmetric() &&
+           pr->opts.reverse == nullptr;
+  }
   if (const auto* ppr = std::get_if<PprQuery>(&request)) {
     return ppr->opts.backend == core::SpmvBackend::kSpmv;
   }
@@ -216,8 +222,8 @@ inline bool NeedsReverseGraph(const QueryRequest& request) {
 /// Stamps a per-graph backend policy (GraphOptions::backend) onto a
 /// request whose own backend is still kAuto; a non-auto request value
 /// always wins. No-op for kinds without a backend knob and for a kAuto
-/// policy (each primitive then resolves kAuto from the topology hint, so
-/// engine and direct runs agree by construction).
+/// policy (each primitive then resolves kAuto by its own rule, never from
+/// the pool width, so engine and direct runs agree by construction).
 inline void ApplyBackendPolicy(QueryRequest& request,
                                core::SpmvBackend backend) {
   if (backend == core::SpmvBackend::kAuto) return;
@@ -409,8 +415,9 @@ inline QueryResult RunRequest(const graph::Csr& g,
                               const graph::Csr* reverse = nullptr,
                               par::ThreadPool* pool = nullptr,
                               const RunControl& ctl = {}) {
-  GR_CHECK(!NeedsReverseGraph(request) || reverse != nullptr,
-           "RunRequest: this request kind needs the reverse graph");
+  const bool needs_reverse = NeedsReverseGraph(g, request);
+  GR_CHECK(!needs_reverse || reverse != nullptr,
+           "RunRequest: this request needs the reverse graph");
   return std::visit(
       [&](const auto& q) -> QueryResult {
         using Q = std::decay_t<decltype(q)>;
@@ -425,6 +432,7 @@ inline QueryResult RunRequest(const graph::Csr& g,
         } else if constexpr (std::is_same_v<Q, CcQuery>) {
           return Cc(g, opts, ctl);
         } else if constexpr (std::is_same_v<Q, PagerankQuery>) {
+          if (needs_reverse) opts.reverse = reverse;
           return Pagerank(g, opts, ctl);
         } else if constexpr (std::is_same_v<Q, MstQuery>) {
           return Mst(g, opts, ctl);

@@ -635,7 +635,7 @@ void QueryEngine::RunSolo(
     // a query cancelled (or expired) during it stops before leasing a
     // workspace and starting the run.
     const graph::Csr* reverse = nullptr;
-    if (NeedsReverseGraph(state->request)) {
+    if (NeedsReverseGraph(*state->graph, state->request)) {
       // Snapshot views carry their own reverse cache (one per epoch);
       // the registry cache only ever sees the static registration.
       reverse = state->snapshot

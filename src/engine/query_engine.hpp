@@ -126,9 +126,9 @@ struct GraphOptions {
   /// backend == kAuto in their options are stamped with this value at
   /// submit, so the winning backend for a topology is chosen once at
   /// RegisterGraph time (the push/pull policy precedent). kAuto leaves
-  /// requests untouched — each primitive then resolves kAuto from the
-  /// graph's scale-free hint. A non-auto value in the request always
-  /// wins over this knob.
+  /// requests untouched — each primitive then resolves kAuto by its own
+  /// rule (core/policy.hpp). A non-auto value in the request always wins
+  /// over this knob.
   core::SpmvBackend backend = core::SpmvBackend::kAuto;
 };
 

@@ -25,7 +25,6 @@
 #include "core/direction.hpp"
 #include "core/filter.hpp"
 #include "core/frontier.hpp"
-#include "core/gather.hpp"
 #include "core/policy.hpp"
 #include "core/priority_queue.hpp"
 #include "core/simt_model.hpp"

@@ -78,13 +78,11 @@ class Workspace {
 /// while sharing one arena.
 namespace ws {
 enum : unsigned {
-  // parallel/ helpers (scan, compact, segmented).
+  // parallel/ helpers (scan, compact, reduce).
   kScanBlockSums = 0,
   kCompactBlockCounts,
   kGenerateBlockCounts,
   kThreeWayBlockCounts,
-  kSegmentedHeads,
-  kSegmentedTails,
   kReducePartials,
   kConcatOffsets,
 

@@ -6,7 +6,6 @@
 #include "core/compute.hpp"
 #include "core/filter.hpp"
 #include "core/frontier.hpp"
-#include "core/gather.hpp"
 #include "core/spmv.hpp"
 #include "parallel/atomics.hpp"
 #include "parallel/reduce.hpp"
@@ -89,33 +88,15 @@ PagerankResult Pagerank(const graph::Csr& g, const PagerankOptions& opts,
     inv_outdeg[v] = d > 0 ? 1.0 / static_cast<double>(d) : 0.0;
   });
 
-  auto& frozen = ws.Get<std::vector<double>>(pslot::kPagerankFirst + 3);
-  frozen.assign(opts.frontier_mode ? n : 0, 0.0);
-  PrProblem prob;
-  prob.frozen = frozen.data();
-  prob.inv_outdeg = inv_outdeg.data();
-  prob.damping = opts.damping;
-  prob.tolerance = opts.tolerance;
-
-  core::AdvanceConfig adv_cfg;
-  adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
-  adv_cfg.workspace = &ws;
-  core::FilterConfig filter_cfg;
-  filter_cfg.workspace = &ws;
-
-  // Merge-path SpMV backend (core/spmv.hpp): the power iteration as a
-  // semiring sweep over the gather orientation. No frontier, no filter
-  // compaction; contributions are pre-scaled once per vertex (one random
-  // load per edge instead of two) and the base+damping fold is fused
-  // into the sweep's finalize. Residual-max convergence matches the
-  // frontier path's per-vertex criterion, so iteration counts agree.
-  const bool use_spmv =
-      !opts.frontier_mode &&
-      (opts.backend == core::SpmvBackend::kSpmv ||
-       (opts.backend == core::SpmvBackend::kAuto && opts.pull &&
-        adv_cfg.scale_free_hint));
-  if (use_spmv) {
+  // Gather form: the power iteration as a merge-path semiring sweep
+  // over in-edges (core/spmv.hpp). No frontier, no filter compaction;
+  // contributions are pre-scaled once per vertex (one random load per
+  // edge instead of two) and the base+damping fold is fused into the
+  // sweep's finalize. Residual-max convergence matches the push path's
+  // per-vertex criterion, so iteration counts agree.
+  if (opts.Gathers()) {
+    GR_CHECK(g.symmetric() || opts.reverse != nullptr,
+             "PageRank gather needs a symmetric graph or opts.reverse");
     const graph::Csr& rg = opts.reverse ? *opts.reverse : g;
     const auto cols = rg.col_indices();
     auto& scaled = ws.Get<std::vector<double>>(pslot::kPagerankFirst + 9);
@@ -166,6 +147,21 @@ PagerankResult Pagerank(const graph::Csr& g, const PagerankOptions& opts,
     return result;
   }
 
+  auto& frozen = ws.Get<std::vector<double>>(pslot::kPagerankFirst + 3);
+  frozen.assign(opts.frontier_mode ? n : 0, 0.0);
+  PrProblem prob;
+  prob.frozen = frozen.data();
+  prob.inv_outdeg = inv_outdeg.data();
+  prob.damping = opts.damping;
+  prob.tolerance = opts.tolerance;
+
+  core::AdvanceConfig adv_cfg;
+  adv_cfg.lb = opts.load_balance;
+  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
+  adv_cfg.workspace = &ws;
+  core::FilterConfig filter_cfg;
+  filter_cfg.workspace = &ws;
+
   // Frontier starts with all vertices (paper: "the frontier always
   // contains all vertices" for PR-style primitives).
   auto& frontier = ws.Get<core::VertexFrontier>(pslot::kPagerankFirst);
@@ -197,14 +193,11 @@ PagerankResult Pagerank(const graph::Csr& g, const PagerankOptions& opts,
     const double base =
         (1.0 - opts.damping + opts.damping * dangling) /
         static_cast<double>(n);
-    const bool pull = opts.pull && !opts.frontier_mode;
-    if (!pull) {
-      // Push mode accumulates into rank_next; seed it with the base (and
-      // the retirees' frozen contributions in frontier mode).
-      core::ForAll(pool, n, [&](std::size_t v) {
-        rank_next[v] = base + (opts.frontier_mode ? frozen[v] : 0.0);
-      });
-    }
+    // Push accumulates into rank_next; seed it with the base (and the
+    // retirees' frozen contributions in frontier mode).
+    core::ForAll(pool, n, [&](std::size_t v) {
+      rank_next[v] = base + (opts.frontier_mode ? frozen[v] : 0.0);
+    });
 
     prob.rank = rank.data();
     prob.rank_next = rank_next.data();
@@ -220,32 +213,11 @@ PagerankResult Pagerank(const graph::Csr& g, const PagerankOptions& opts,
       });
       pushers = all;
     }
-    if (pull) {
-      // Gather-reduce over in-edges (no atomics, equal-work partitioned),
-      // then one fused scale-and-base pass over the gathered sums.
-      const graph::Csr& rg = opts.reverse ? *opts.reverse : g;
-      core::NeighborReduce<double>(
-          pool, rg, rank_next, 0.0,
-          [](double a, double b) { return a + b; },
-          [&](std::size_t e) {
-            const vid_t u = rg.col_indices()[e];
-            return rank[static_cast<std::size_t>(u)] *
-                   inv_outdeg[static_cast<std::size_t>(u)];
-          },
-          &ws);
-      core::ForAll(pool, n, [&](std::size_t v) {
-        rank_next[v] = base + opts.damping * rank_next[v];
-      });
-      result.stats.edges_visited += rg.num_edges();
-      efficiency.Add(core::LaneEfficiencyEqualWork(rg.num_edges()),
-                     rg.num_edges());
-    } else {
-      const auto adv = core::AdvancePush<PrDistributeFunctor>(
-          pool, g, pushers, static_cast<std::vector<vid_t>*>(nullptr),
-          prob, adv_cfg);
-      result.stats.edges_visited += adv.edges_visited;
-      efficiency.Add(adv.lane_efficiency, adv.edges_visited);
-    }
+    const auto adv = core::AdvancePush<PrDistributeFunctor>(
+        pool, g, pushers, static_cast<std::vector<vid_t>*>(nullptr),
+        prob, adv_cfg);
+    result.stats.edges_visited += adv.edges_visited;
+    efficiency.Add(adv.lane_efficiency, adv.edges_visited);
 
     // In frontier mode, vertices outside the frontier keep their old rank
     // (they stopped pushing; their steady share arrives via `frozen`).

@@ -28,21 +28,26 @@ struct PagerankOptions : CommonOptions {
   int max_iterations = 1000;
   /// Gunrock-faithful frontier shrinking (see header comment).
   bool frontier_mode = false;
-  /// Pull mode uses the gather-reduce operator (paper Section 7's
-  /// proposed extension): per-vertex neighborhood reductions with
-  /// equal-work partitioning and no atomics. The default (push) is the
-  /// paper's Section 5.5 formulation (advance + atomicAdd). Pull requires
-  /// a symmetric graph or an explicit reverse graph.
+  /// Pull mode gathers over in-edges (paper Section 7's proposed
+  /// gather-reduce operator) as a merge-path SpMV sweep (core/spmv.hpp):
+  /// no atomics, no frontier, equal-work partitioned, ranks bit-identical
+  /// at any pool width. The default (push) is the paper's Section 5.5
+  /// formulation (advance + atomicAdd). The gather needs a symmetric
+  /// graph or `reverse`; without either it throws gunrock::Error.
   bool pull = false;
-  /// Reverse graph for pull mode on directed inputs; nullptr means the
+  /// Reverse graph for the gather on directed inputs; nullptr means the
   /// graph is symmetric (g is its own reverse).
   const graph::Csr* reverse = nullptr;
-  /// Execution backend. kSpmv runs the merge-path semiring sweep
-  /// (core/spmv.hpp) over the gather orientation — no frontier, no
-  /// filter pass, one pre-scaled load per edge. kAuto picks kSpmv for
-  /// pull mode on scale-free graphs and the frontier operators
-  /// otherwise; frontier_mode always uses the frontier path.
+  /// Execution backend. kSpmv runs the gather sweep even without `pull`;
+  /// kAuto and kFrontier leave the choice to `pull`. frontier_mode always
+  /// pushes.
   core::SpmvBackend backend = core::SpmvBackend::kAuto;
+
+  /// True when the run takes the gather sweep rather than the push
+  /// advance.
+  bool Gathers() const {
+    return !frontier_mode && (pull || backend == core::SpmvBackend::kSpmv);
+  }
 };
 
 struct PagerankResult {

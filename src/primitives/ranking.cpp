@@ -87,9 +87,11 @@ void SpmvGather(par::ThreadPool& pool, const graph::Csr& a,
       [](std::size_t, double acc) { return acc; }, &ws, pslot::kSpmvFirst);
 }
 
-bool UseSpmv(core::SpmvBackend backend, bool scale_free) {
-  return backend == core::SpmvBackend::kSpmv ||
-         (backend == core::SpmvBackend::kAuto && scale_free);
+/// HITS/SALSA backend: the gather sweep unless kFrontier asks for the
+/// push formulation (paper Section 5.5). kAuto reads no topology: the
+/// sweep won on every measured graph, meshes included.
+bool UseSpmv(core::SpmvBackend backend) {
+  return backend != core::SpmvBackend::kFrontier;
 }
 
 }  // namespace
@@ -112,12 +114,14 @@ HitsResult Hits(const graph::Csr& g, const graph::Csr& rg,
 
   core::Workspace private_ws;
   core::Workspace& ws = ctl.workspace ? *ctl.workspace : private_ws;
+  // The topology hint and the pusher list serve only the push advance.
+  const bool use_spmv = UseSpmv(opts.backend);
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
+  adv_cfg.scale_free_hint = !use_spmv && ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
-  const bool use_spmv = UseSpmv(opts.backend, adv_cfg.scale_free_hint);
-  const auto all = AllVertices(pool, ws, n);
+  const auto all =
+      use_spmv ? std::span<const vid_t>() : AllVertices(pool, ws, n);
 
   auto& prev_hub = ws.Get<std::vector<double>>(pslot::kRankingFirst + 1);
   auto& prev_auth = ws.Get<std::vector<double>>(pslot::kRankingFirst + 2);
@@ -211,11 +215,14 @@ SalsaResult Salsa(const graph::Csr& g, const graph::Csr& rg,
     inv_in[v] = id > 0 ? 1.0 / static_cast<double>(id) : 0.0;
   });
 
+  // The topology hint and the pusher list serve only the push advance.
+  const bool use_spmv = UseSpmv(opts.backend);
   core::AdvanceConfig adv_cfg;
   adv_cfg.lb = opts.load_balance;
-  adv_cfg.scale_free_hint = ctl.ScaleFree(g, pool);
+  adv_cfg.scale_free_hint = !use_spmv && ctl.ScaleFree(g, pool);
   adv_cfg.workspace = &ws;
-  const auto all = AllVertices(pool, ws, n);
+  const auto all =
+      use_spmv ? std::span<const vid_t>() : AllVertices(pool, ws, n);
 
   auto& prev_hub = ws.Get<std::vector<double>>(pslot::kRankingFirst + 1);
   auto& prev_auth = ws.Get<std::vector<double>>(pslot::kRankingFirst + 2);
@@ -224,7 +231,6 @@ SalsaResult Salsa(const graph::Csr& g, const graph::Csr& rg,
   prev_hub = result.hub;
   prev_auth = result.authority;
 
-  const bool use_spmv = UseSpmv(opts.backend, adv_cfg.scale_free_hint);
   // Pre-scaled score vectors for the spmv gather: the per-source
   // stochastic factor is folded in once per vertex (the push path rounds
   // score * scale identically per edge, so the products match bitwise).

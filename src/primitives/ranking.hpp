@@ -29,8 +29,8 @@ struct HitsOptions : CommonOptions {
   int max_iterations = 50;
   double tolerance = 1e-8;  ///< L1 movement across both score vectors
   HitsNorm norm = HitsNorm::kL1;
-  /// kSpmv swaps the atomic scatter for the merge-path semiring gather
-  /// (core/spmv.hpp); kAuto picks it on scale-free graphs.
+  /// kAuto and kSpmv run the merge-path semiring gather (core/spmv.hpp)
+  /// on every graph; kFrontier runs the paper's atomic push scatter.
   core::SpmvBackend backend = core::SpmvBackend::kAuto;
 };
 

@@ -119,18 +119,45 @@ TEST(PagerankTest, PullModeMatchesPushAndSerial) {
   test::ExpectScoresNear(expected.rank, got.rank, 1e-7);
 }
 
-TEST(PagerankTest, PullModeOnDirectedGraphWithExplicitReverse) {
+/// Web-like directed graph (not built symmetric), for the gather's
+/// reverse-graph contract.
+graph::Csr DirectedRmat() {
   graph::RmatParams p;
   p.scale = 10;
   p.edge_factor = 4;
-  const auto g = graph::BuildCsr(
-      GenerateRmat(p, par::ThreadPool::Global()));
+  return graph::BuildCsr(GenerateRmat(p, par::ThreadPool::Global()));
+}
+
+TEST(PagerankTest, PullModeOnDirectedGraphWithExplicitReverse) {
+  const auto g = DirectedRmat();
   const auto rg = graph::ReverseCsr(g, par::ThreadPool::Global());
   const auto expected = serial::Pagerank(g);
   PagerankOptions pull;
   pull.pull = true;
   pull.reverse = &rg;
   const auto got = Pagerank(g, pull);
+  test::ExpectScoresNear(expected.rank, got.rank, 1e-7);
+}
+
+TEST(PagerankTest, GatherOnDirectedGraphWithoutReverseThrows) {
+  // Gathering over out-edges would return wrong ranks silently.
+  const auto g = DirectedRmat();
+  ASSERT_FALSE(g.symmetric());
+  PagerankOptions pull;
+  pull.pull = true;
+  EXPECT_THROW(Pagerank(g, pull), Error);
+  PagerankOptions spmv;
+  spmv.backend = core::SpmvBackend::kSpmv;
+  EXPECT_THROW(Pagerank(g, spmv), Error);
+}
+
+TEST(PagerankTest, RunRequestHandsReverseToDirectedPull) {
+  const auto g = DirectedRmat();
+  const auto rg = graph::ReverseCsr(g, par::ThreadPool::Global());
+  const auto expected = serial::Pagerank(g);
+  engine::PagerankQuery q;
+  q.opts.pull = true;
+  const auto got = std::get<PagerankResult>(engine::RunRequest(g, q, &rg));
   test::ExpectScoresNear(expected.rank, got.rank, 1e-7);
 }
 

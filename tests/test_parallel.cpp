@@ -13,7 +13,6 @@
 #include "parallel/histogram.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/scan.hpp"
-#include "parallel/segmented.hpp"
 #include "parallel/sort.hpp"
 #include "parallel/sorted_search.hpp"
 #include "parallel/thread_pool.hpp"
@@ -451,37 +450,6 @@ TEST(SortedSearchTest, FindsOwnersAtBoundaries) {
   std::vector<std::size_t> out(queries.size());
   SortedSearch<std::int64_t>(pool, offsets, queries, out);
   EXPECT_EQ(out, (std::vector<std::size_t>{1, 1, 3, 3, 4, 4}));
-}
-
-TEST(SegmentedReduceTest, BothFlavorsMatchSerial) {
-  ThreadPool pool(6);
-  // Skewed segments, including empties and one giant.
-  std::vector<std::int64_t> offsets = {0};
-  std::vector<std::size_t> sizes = {0, 5, 0, 10000, 3, 0, 17, 1, 0, 2048};
-  for (const auto s : sizes) offsets.push_back(offsets.back() +
-                                               static_cast<std::int64_t>(s));
-  const std::size_t total = static_cast<std::size_t>(offsets.back());
-  std::vector<std::uint64_t> values(total);
-  for (std::size_t i = 0; i < total; ++i) values[i] = SplitMix64(i) & 0xff;
-
-  std::vector<std::uint64_t> expected(sizes.size(), 0);
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    for (auto j = offsets[s]; j < offsets[s + 1]; ++j) {
-      expected[s] += values[static_cast<std::size_t>(j)];
-    }
-  }
-  const auto add = [](std::uint64_t a, std::uint64_t b) { return a + b; };
-  const auto val = [&](std::size_t j) { return values[j]; };
-
-  std::vector<std::uint64_t> got(sizes.size(), 99);
-  SegmentedReduceSegmentMapped<std::uint64_t, std::int64_t>(
-      pool, offsets, got, std::uint64_t{0}, add, val);
-  EXPECT_EQ(got, expected);
-
-  std::fill(got.begin(), got.end(), 99);
-  SegmentedReduceBalanced<std::uint64_t, std::int64_t>(
-      pool, offsets, got, std::uint64_t{0}, add, val);
-  EXPECT_EQ(got, expected);
 }
 
 TEST(BitmapTest, TestAndSetClaimsExactlyOnce) {

@@ -380,6 +380,32 @@ TEST(QueryEngineTest, ShutdownCancelsQueuedAndRefusesNewWork) {
 
 // --- new primitive families (mst / triangles / lp / ranking) ----------------
 
+TEST(QueryEngineTest, DirectedPagerankGatherUsesCachedReverse) {
+  // The wire reaches the gather through "pull" and "backend": "spmv"; on
+  // a graph not built symmetric both must gather over in-edges.
+  graph::RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 4;
+  p.seed = 1000 + test::TestSeed();
+  const graph::Csr g =
+      graph::BuildCsr(GenerateRmat(p, par::ThreadPool::Global()));
+  ASSERT_FALSE(g.symmetric());
+  const auto expected = serial::Pagerank(g);
+
+  QueryEngine engine;
+  engine.RegisterGraph("directed", g);
+  PagerankQuery pull;
+  pull.opts.pull = true;
+  PagerankQuery spmv;
+  spmv.opts.backend = core::SpmvBackend::kSpmv;
+  for (const PagerankQuery& q : {pull, spmv}) {
+    const auto r = engine.Submit("directed", q).Wait();
+    ASSERT_EQ(r.status, QueryStatus::kDone) << r.error;
+    test::ExpectScoresNear(expected.rank,
+                           std::get<PagerankResult>(r.result).rank, 1e-7);
+  }
+}
+
 TEST(QueryEngineTest, NewFamiliesServeBitIdenticalResults) {
   const graph::Csr g = MakeGraph(9, 6);
   const graph::Csr rg = graph::ReverseCsr(g, par::ThreadPool::Global());

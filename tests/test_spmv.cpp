@@ -11,8 +11,9 @@
 //  3. masked / sparse-frontier variants agree with the dense kernel on
 //     member rows and never touch non-members;
 //  4. the primitive backends (PageRank, HITS, PPR, PprBatch) built on
-//     the kernels agree with their frontier/push counterparts, and SpMM
-//     lanes are bit-identical to scalar SpMV runs.
+//     the kernels agree with their push counterparts, kAuto runs the
+//     sweep bit for bit on every topology, and SpMM lanes are
+//     bit-identical to scalar SpMV runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -468,19 +469,64 @@ TEST(SpmmKernelTest, EveryLaneBitIdenticalToScalarRunFrozenLanesUntouched) {
   }
 }
 
-TEST(SpmvBackendTest, PagerankSpmvMatchesFrontierPull) {
+TEST(SpmvBackendTest, PagerankPullSweepMatchesPushAdvance) {
   for (const auto& c : Corpus(/*weighted=*/false)) {
     SCOPED_TRACE(c.name);
     PagerankOptions opts;
-    opts.pull = true;
     opts.max_iterations = 25;
-    opts.tolerance = 0.0;  // both backends run the full budget
+    opts.tolerance = 0.0;  // both formulations run the full budget
     opts.backend = core::SpmvBackend::kFrontier;
-    const auto frontier = Pagerank(c.graph, opts);
+    const auto push = Pagerank(c.graph, opts);
+    opts.pull = true;
     opts.backend = core::SpmvBackend::kSpmv;
-    const auto spmv = Pagerank(c.graph, opts);
-    EXPECT_EQ(spmv.iterations, frontier.iterations);
-    ExpectBackendsAgree(frontier.rank, spmv.rank, "pagerank backend");
+    const auto pull = Pagerank(c.graph, opts);
+    EXPECT_EQ(pull.iterations, push.iterations);
+    ExpectBackendsAgree(push.rank, pull.rank, "pagerank pull vs push");
+  }
+}
+
+TEST(SpmvBackendTest, AutoIsTheSweepBitwiseAtEveryPoolWidth) {
+  // kAuto reads no topology: on meshes and paths as on power-law graphs
+  // it runs the same sweep as kSpmv, whose seams are fixed by structure,
+  // so the scores match a 1-lane kSpmv run bit for bit at any width.
+  for (const auto& c : Corpus(/*weighted=*/false)) {
+    SCOPED_TRACE(c.name);
+    const graph::Csr& g = c.graph;  // symmetric: rg == g structurally
+    par::ThreadPool one(1);
+    PagerankOptions popts;
+    popts.pull = true;
+    popts.max_iterations = 20;
+    popts.tolerance = 0.0;
+    popts.pool = &one;
+    popts.backend = core::SpmvBackend::kSpmv;
+    const auto pr_ref = Pagerank(g, popts);
+    HitsOptions hopts;
+    hopts.max_iterations = 10;
+    hopts.tolerance = 0.0;
+    hopts.pool = &one;
+    hopts.backend = core::SpmvBackend::kSpmv;
+    const auto hits_ref = Hits(g, g, hopts);
+    SalsaOptions sopts;
+    sopts.max_iterations = 10;
+    sopts.tolerance = 0.0;
+    sopts.pool = &one;
+    sopts.backend = core::SpmvBackend::kSpmv;
+    const auto salsa_ref = Salsa(g, g, sopts);
+
+    for (const unsigned width : {1u, 4u, 16u}) {
+      SCOPED_TRACE(width);
+      par::ThreadPool pool(width);
+      popts.pool = hopts.pool = sopts.pool = &pool;
+      popts.backend = hopts.backend = sopts.backend =
+          core::SpmvBackend::kAuto;
+      EXPECT_EQ(Pagerank(g, popts).rank, pr_ref.rank);
+      const auto hits = Hits(g, g, hopts);
+      EXPECT_EQ(hits.authority, hits_ref.authority);
+      EXPECT_EQ(hits.hub, hits_ref.hub);
+      const auto salsa = Salsa(g, g, sopts);
+      EXPECT_EQ(salsa.authority, salsa_ref.authority);
+      EXPECT_EQ(salsa.hub, salsa_ref.hub);
+    }
   }
 }
 
